@@ -31,11 +31,13 @@ struct Instance {
 /// A fork/join program of ~n memory instructions with a last-writer
 /// observer from a topological sort — a member of every model in the
 /// suite, i.e. the worst case for a checker (nothing short-circuits).
-Instance make_cilk_instance(std::size_t n) {
+/// The default 16 locations give the pool enough shards with realistic
+/// sharing; 1024 is the wide shape (few events per location).
+Instance make_cilk_instance(std::size_t n, std::size_t nlocations = 16) {
   Rng rng(n * 13 + 5);
   proc::RandomCilkOptions opt;
   opt.target_ops = n;
-  opt.nlocations = 16;  // enough shards for the pool, realistic sharing
+  opt.nlocations = nlocations;
   Computation c = proc::random_cilk(opt, rng);
   std::vector<NodeId> order(c.node_count());
   if (c.dag().ids_topological()) {
@@ -164,10 +166,9 @@ BENCHMARK(BM_LargeCheckLC)->Arg(4096)->Arg(16384)->Arg(65536)->Arg(1 << 20)
     ->Arg(1 << 24)->Arg(1 << 27)->Unit(benchmark::kMillisecond);
 
 /// All five decomposable models in one streaming pass — the full
-/// postmortem verdict at scale.
-void BM_LargeCheckAllModels(benchmark::State& state) {
-  const Instance in = make_cilk_instance(static_cast<std::size_t>(
-      state.range(0)));
+/// postmortem verdict at scale. LC holds on every location here, so
+/// the lattice gate skips every mask sweep.
+void run_all_models(benchmark::State& state, const Instance& in) {
   LargeCheckOptions opt;
   opt.models = kLargeCheckAll;
   for (auto _ : state) {
@@ -177,7 +178,19 @@ void BM_LargeCheckAllModels(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(in.c.node_count()));
 }
-BENCHMARK(BM_LargeCheckAllModels)->Arg(65536)
+void BM_LargeCheckAllModels(benchmark::State& state) {
+  run_all_models(state,
+                 make_cilk_instance(static_cast<std::size_t>(state.range(0))));
+}
+BENCHMARK(BM_LargeCheckAllModels)->Arg(65536)->Arg(1 << 20)
+    ->Unit(benchmark::kMillisecond);
+/// The same over 1024 locations: the wide shape of the lint workload,
+/// where every location's O(n) stage and advance passes dominate.
+void BM_LargeCheckAllModelsWide(benchmark::State& state) {
+  run_all_models(state, make_cilk_instance(
+                            static_cast<std::size_t>(state.range(0)), 1024));
+}
+BENCHMARK(BM_LargeCheckAllModelsWide)->Arg(65536)
     ->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------

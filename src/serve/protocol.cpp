@@ -256,7 +256,6 @@ std::string encode_report(const LargeCheckReport& rep) {
   put_f64(out, rep.group_build_millis);
   put_f64(out, rep.kernel_millis);
   put_f64(out, rep.report_millis);
-  put_u8(out, rep.pipelined ? 1 : 0);
   put_str(out, rep.numa);
   put_u64(out, rep.locations.size());
   for (const LocationCheck& lc : rep.locations) {
@@ -293,7 +292,6 @@ LargeCheckReport decode_report(const unsigned char* p, std::size_t size) {
   rep.group_build_millis = r.f64();
   rep.kernel_millis = r.f64();
   rep.report_millis = r.f64();
-  rep.pipelined = r.u8() != 0;
   rep.numa = r.str();
   const std::uint64_t nloc = r.u64();
   // u32 + u8 + u32 + u64 + f64 + empty str(u64 length) = 33 bytes min.

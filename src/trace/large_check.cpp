@@ -1,6 +1,7 @@
 #include "trace/large_check.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <memory>
 #include <numeric>
@@ -11,7 +12,6 @@
 #include "trace/loc_kernel.hpp"
 #include "util/numa.hpp"
 #include "util/resource.hpp"
-#include "util/ring_buffer.hpp"
 #include "util/str.hpp"
 
 namespace ccmm {
@@ -23,14 +23,14 @@ double millis_since(Clock::time_point t0) {
   return std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
 }
 
-/// Events per pipeline chunk. Large enough that ring/mutex traffic is
-/// noise, small enough that a chunk of topo slots plus its pred edges
-/// stays cache-resident while every location's kernel walks it.
+/// Events per chunk. Large enough that per-chunk bookkeeping is noise,
+/// small enough that a chunk of topo slots plus its pred edges stays
+/// cache-resident while every location of a shard walks it.
 constexpr std::uint32_t kChunkNodes = 1u << 17;
 
 /// Below this the whole check is a few milliseconds and thread spawn
-/// plus ring handshakes would dominate: run the chunk loop inline.
-constexpr std::size_t kPipelineMinNodes = std::size_t{1} << 14;
+/// would dominate: run every location on the caller's thread.
+constexpr std::size_t kShardMinNodes = std::size_t{1} << 14;
 
 /// One unit of sharded work: a location, its dense Φ column (nullptr
 /// when the observer stores no column for it, i.e. the column is all-⊥)
@@ -42,13 +42,13 @@ struct LocTask {
   std::span<const NodeId> writers;
 };
 
-/// One ring slot: a chunk of topological positions plus every task's
-/// staged blocks and validity (the producer owns the column-bound half
-/// of the scan; consumers never touch a Φ column or the oracle).
-struct ChunkStage {
-  std::uint32_t pos0 = 0;
-  std::uint32_t pos1 = 0;
-  std::vector<LocChunkStage> stages;  // indexed by task
+/// What one shard measured: stage times summed over its tasks, and the
+/// scratch it held (arena peak + states + staging buffer).
+struct ShardStats {
+  double ingest_ms = 0.0;
+  double kernel_ms = 0.0;
+  double report_ms = 0.0;
+  std::size_t bytes = 0;
 };
 
 /// The oracle kind make_oracle would pick, when that is decidable
@@ -219,183 +219,127 @@ LargeCheckReport large_check(const Computation& c, const ObserverFunction& phi,
       &c,    &oracle,       &topo,       pos_of,         &pred,      &succ,
       wblock.data(), wloc.data(), base, report.checked, want_fresh, simd};
 
-  // Shard layout: the pipelined engine overlaps ingest (trace-order
-  // validation + oracle batches, on the caller thread) with kernel
-  // advancement (one dedicated consumer thread per shard, every shard
-  // seeing every chunk through a bounded broadcast ring). Dedicated
-  // threads, not pool tasks: a consumer blocks on the ring, and a
-  // blocking task on a shared pool can deadlock concurrent checks.
+  // Shard layout: tasks are packed onto shards, and every shard runs
+  // the whole chunk loop for its own locations — stage_chunk, then
+  // advance, chunk by chunk, then finalize — so no thread stages
+  // another shard's work. Shard 0 runs on the caller's thread, the rest
+  // on dedicated threads (not pool tasks, so a check issued from inside
+  // a pool task cannot starve that pool). One shard is the serial path.
   ThreadPool& pool = options.pool != nullptr ? *options.pool : global_pool();
-  const bool pipelined = options.parallel && pool.size() >= 2 &&
-                         !tasks.empty() && n >= kPipelineMinNodes;
-  std::uint32_t chunk =
+  const std::uint32_t chunk =
       options.chunk_nodes != 0 ? options.chunk_nodes : kChunkNodes;
-  if (options.chunk_nodes == 0 && pipelined) {
-    // The ring holds up to 5 staged chunks (4 slots + the one being
-    // built), each tasks*chunk*4 bytes of blk arrays. Budget that at
-    // ~16 B/node so small pipelined traces are not dominated by fixed
-    // staging memory; large traces keep the full default chunk.
-    const std::uint64_t budget =
-        std::uint64_t{n} * 4 / (5 * tasks.size());
-    chunk = static_cast<std::uint32_t>(std::clamp<std::uint64_t>(
-        budget, std::uint64_t{4096}, std::uint64_t{kChunkNodes}));
-  }
   const std::size_t nshards =
       tasks.empty() ? 0
-                    : (pipelined ? std::min(tasks.size(), pool.size())
-                                 : std::size_t{1});
+                    : (options.parallel && n >= kShardMinNodes
+                           ? std::min(tasks.size(), pool.size())
+                           : std::size_t{1});
   report.shards = nshards;
-  report.pipelined = pipelined;
   const NumaTopology& numa = numa_topology();
   report.numa = numa.to_string();
 
-  double ingest_ms = 0.0;
-  double kernel_ms = 0.0;
-  double report_ms = 0.0;
-  std::size_t scratch_peak = 0;
+  // Pack tasks onto the shards in longest-processing-time order. Cost
+  // model: every task pays an O(n) stage + advance pass (1 unit); a
+  // mask-only request adds one sweep per 256-block batch (with LC
+  // requested, only LC-failing locations sweep).
+  std::vector<std::size_t> cost(tasks.size());
+  for (std::size_t i = 0; i < tasks.size(); ++i)
+    cost[i] = 1 + (want_masks && !want_lc
+                       ? (tasks[i].writers.size() + kSweepBits) / kSweepBits
+                       : 0);
+  std::vector<std::size_t> by_cost(tasks.size());
+  std::iota(by_cost.begin(), by_cost.end(), std::size_t{0});
+  std::stable_sort(by_cost.begin(), by_cost.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return cost[a] > cost[b];
+                   });
+  std::vector<std::vector<std::size_t>> shard_tasks(nshards);
+  std::vector<std::size_t> shard_load(nshards, 0);
+  for (const std::size_t i : by_cost) {
+    const std::size_t s = static_cast<std::size_t>(
+        std::min_element(shard_load.begin(), shard_load.end()) -
+        shard_load.begin());
+    shard_tasks[s].push_back(i);
+    shard_load[s] += cost[i];
+  }
 
-  if (nshards > 0 && !pipelined) {
-    // Serial chunk-major scan: same chunk loop as the pipeline, with
-    // the prestage inlined. One arena, states advanced in task order —
-    // byte-identical verdicts to the pipelined run.
+  const std::vector<std::size_t> plan = plan_shard_placement(nshards, numa);
+  std::vector<ShardStats> stats(nshards);
+  // Positions each shard has consumed. Progress reports their average
+  // over all tasks: it grows with every chunk of shard 0 (the caller's
+  // own), whichever shard is ahead, and never decreases.
+  std::vector<std::atomic<std::uint32_t>> consumed(nshards);
+  std::uint64_t reported = 0;
+  const auto report_progress = [&] {
+    std::uint64_t sum = 0;
+    for (std::size_t s = 0; s < nshards; ++s)
+      sum += std::uint64_t{consumed[s].load(std::memory_order_relaxed)} *
+             shard_tasks[s].size();
+    const std::uint64_t done = sum / tasks.size();
+    if (done > reported && done < n) {
+      reported = done;
+      options.progress(done, n);
+    }
+  };
+  const auto run_shard = [&](std::size_t s) {
+    // Pin to the shard's NUMA node BEFORE the first allocation: the
+    // arena and states below are first-touched inside the binding, so
+    // their pages land on the node that re-reads them every chunk.
+    // Single-node topologies make this a no-op.
+    const NumaBinding bind(numa, plan[s]);
+    const std::vector<std::size_t>& mine = shard_tasks[s];
+    ShardStats& st = stats[s];
     LocArena arena;
-    std::vector<LocState> states(tasks.size());
-    for (std::size_t i = 0; i < tasks.size(); ++i)
-      states[i].init(kctx, tasks[i].loc, tasks[i].col, tasks[i].writers);
-    // One staging buffer for every task: each task's staged blocks are
-    // consumed by its advance immediately (still hot in cache), so the
-    // scan never holds more than one chunk's blk array — without this
-    // the per-task buffers alone cost tasks*n*4 bytes on small traces.
+    std::vector<LocState> states(mine.size());
+    for (std::size_t k = 0; k < mine.size(); ++k)
+      states[k].init(kctx, tasks[mine[k]].loc, tasks[mine[k]].col,
+                     tasks[mine[k]].writers);
+    // One staging buffer for every task of the shard: each task's
+    // staged blocks are consumed by its advance immediately (still hot
+    // in cache), so a shard never holds more than one chunk's blk array.
     LocChunkStage staged;
     for (std::uint32_t p0 = 0; p0 < n; p0 += chunk) {
       const std::uint32_t p1 =
           static_cast<std::uint32_t>(std::min<std::size_t>(n, p0 + chunk));
-      for (std::size_t i = 0; i < tasks.size(); ++i) {
+      for (std::size_t k = 0; k < mine.size(); ++k) {
+        const LocTask& t = tasks[mine[k]];
         const auto ti = Clock::now();
-        stage_chunk(kctx, tasks[i].loc, tasks[i].col, p0, p1, arena, staged);
-        ingest_ms += millis_since(ti);
+        stage_chunk(kctx, t.loc, t.col, p0, p1, arena, staged);
+        st.ingest_ms += millis_since(ti);
         const auto tk = Clock::now();
-        states[i].advance(p0, p1, arena, &staged);
-        kernel_ms += millis_since(tk);
+        states[k].advance(p0, p1, arena, &staged);
+        st.kernel_ms += millis_since(tk);
       }
-      if (options.progress) options.progress(p1, n);
+      consumed[s].store(p1, std::memory_order_relaxed);
+      if (s == 0 && options.progress) report_progress();
     }
     const auto tr = Clock::now();
-    std::size_t state_bytes =
-        staged.blk.capacity() * sizeof(std::uint32_t);
-    for (std::size_t i = 0; i < tasks.size(); ++i) {
-      states[i].finalize_into(report.locations[i], arena);
-      state_bytes += states[i].memory_bytes();
+    std::size_t bytes = staged.blk.capacity() * sizeof(std::uint32_t);
+    for (std::size_t k = 0; k < mine.size(); ++k) {
+      states[k].finalize_into(report.locations[mine[k]], arena);
+      bytes += states[k].memory_bytes();
     }
-    report_ms += millis_since(tr);
+    st.report_ms = millis_since(tr);
     arena.note_peak();
-    scratch_peak = arena.peak_bytes + state_bytes;
-  } else if (nshards > 0) {
-    // Pack tasks onto the shards in longest-processing-time order. Cost
-    // model: every task pays an O(n) kernel pass (1 unit) plus one
-    // sweep per 256-block batch when mask models are requested.
-    std::vector<std::size_t> cost(tasks.size());
-    for (std::size_t i = 0; i < tasks.size(); ++i)
-      cost[i] = 1 + (want_masks
-                         ? (tasks[i].writers.size() + kSweepBits) / kSweepBits
-                         : 0);
-    std::vector<std::size_t> by_cost(tasks.size());
-    std::iota(by_cost.begin(), by_cost.end(), std::size_t{0});
-    std::stable_sort(by_cost.begin(), by_cost.end(),
-                     [&](std::size_t a, std::size_t b) {
-                       return cost[a] > cost[b];
-                     });
-    std::vector<std::vector<std::size_t>> shard_tasks(nshards);
-    std::vector<std::size_t> shard_load(nshards, 0);
-    for (const std::size_t i : by_cost) {
-      const std::size_t s = static_cast<std::size_t>(
-          std::min_element(shard_load.begin(), shard_load.end()) -
-          shard_load.begin());
-      shard_tasks[s].push_back(i);
-      shard_load[s] += cost[i];
-    }
-
-    const std::vector<std::size_t> plan = plan_shard_placement(nshards, numa);
-    BroadcastRing<std::shared_ptr<const ChunkStage>> ring(4, nshards);
-    std::vector<double> sh_kernel(nshards, 0.0);
-    std::vector<double> sh_report(nshards, 0.0);
-    std::vector<std::size_t> sh_bytes(nshards, 0);
-    std::vector<std::thread> workers;
-    workers.reserve(nshards);
-    for (std::size_t s = 0; s < nshards; ++s) {
-      workers.emplace_back([&, s] {
-        // Pin to the shard's NUMA node BEFORE the first allocation:
-        // the arena and states below are first-touched inside the
-        // binding, so their pages land on the node that re-reads them
-        // every chunk. Single-node topologies make this a no-op.
-        const NumaBinding bind(numa, plan[s]);
-        const std::vector<std::size_t>& mine = shard_tasks[s];
-        LocArena arena;
-        std::vector<LocState> states(mine.size());
-        for (std::size_t k = 0; k < mine.size(); ++k)
-          states[k].init(kctx, tasks[mine[k]].loc, tasks[mine[k]].col,
-                         tasks[mine[k]].writers);
-        std::shared_ptr<const ChunkStage> st;
-        while (ring.pop(s, st)) {
-          const auto tk = Clock::now();
-          for (std::size_t k = 0; k < mine.size(); ++k)
-            states[k].advance(st->pos0, st->pos1, arena,
-                              &st->stages[mine[k]]);
-          sh_kernel[s] += millis_since(tk);
-        }
-        const auto tr = Clock::now();
-        std::size_t bytes = 0;
-        for (std::size_t k = 0; k < mine.size(); ++k) {
-          states[k].finalize_into(report.locations[mine[k]], arena);
-          bytes += states[k].memory_bytes();
-        }
-        sh_report[s] = millis_since(tr);
-        arena.note_peak();
-        sh_bytes[s] = arena.peak_bytes + bytes;
-      });
-    }
-
-    // Producer: stage the column-bound half of the scan for every
-    // task, chunk by chunk, blocking only on ring backpressure.
-    LocArena parena;
-    std::size_t stage_bytes = 0;
-    for (std::uint32_t p0 = 0; p0 < n; p0 += chunk) {
-      const std::uint32_t p1 =
-          static_cast<std::uint32_t>(std::min<std::size_t>(n, p0 + chunk));
-      const auto ti = Clock::now();
-      auto st = std::make_shared<ChunkStage>();
-      st->pos0 = p0;
-      st->pos1 = p1;
-      st->stages.resize(tasks.size());
-      for (std::size_t i = 0; i < tasks.size(); ++i)
-        stage_chunk(kctx, tasks[i].loc, tasks[i].col, p0, p1, parena,
-                    st->stages[i]);
-      std::size_t sb = 0;
-      for (const LocChunkStage& sg : st->stages)
-        sb += sg.blk.capacity() * sizeof(std::uint32_t);
-      stage_bytes = std::max(stage_bytes, sb);
-      ingest_ms += millis_since(ti);
-      ring.push(std::move(st));
-      if (options.progress) options.progress(p1, n);
-    }
-    ring.close();
-    for (std::thread& w : workers) w.join();
-    kernel_ms = *std::max_element(sh_kernel.begin(), sh_kernel.end());
-    report_ms = *std::max_element(sh_report.begin(), sh_report.end());
-    parena.note_peak();
-    // Up to 4 staged chunks live in the ring plus the one being built
-    // — fewer when the whole trace fits in fewer chunks.
-    const std::size_t in_flight = std::min<std::size_t>(
-        5, (n + chunk - 1) / chunk);
-    scratch_peak = std::max(
-        *std::max_element(sh_bytes.begin(), sh_bytes.end()),
-        parena.peak_bytes + stage_bytes * in_flight);
+    st.bytes = arena.peak_bytes + bytes;
+  };
+  {
+    std::vector<std::jthread> workers;
+    for (std::size_t s = 1; s < nshards; ++s)
+      workers.emplace_back(run_shard, s);
+    if (nshards > 0) run_shard(0);
   }
+  if (options.progress) options.progress(n, n);
 
+  // Stages are the max over shards (they run concurrently), so they can
+  // sum to more than the wall-clock total on sharded runs.
+  std::size_t scratch_peak = 0;
+  for (const ShardStats& st : stats) {
+    report.ingest_millis = std::max(report.ingest_millis, st.ingest_ms);
+    report.kernel_millis = std::max(report.kernel_millis, st.kernel_ms);
+    report.report_millis = std::max(report.report_millis, st.report_ms);
+    scratch_peak = std::max(scratch_peak, st.bytes);
+  }
   report.scratch_peak_bytes = scratch_peak;
-  report.ingest_millis += ingest_ms;
-  report.kernel_millis = kernel_ms;
-  report.report_millis = report_ms;
 
   // Oracle accounting: real numbers when it was built (eagerly or on a
   // 2.2 flush), the predicted kind and zero bytes when the scan never
@@ -433,9 +377,9 @@ std::string LargeCheckReport::to_string() const {
   out += format("oracle: %s (%zu bytes, built in %.2f ms)\n",
                 oracle_kind.c_str(), oracle_memory_bytes, oracle_build_millis);
   out += format(
-      "data plane: %s kernels, %zu shards%s, %.1f B/node "
+      "data plane: %s kernels, %zu shards, %.1f B/node "
       "(csr %zu + groups %zu + scratch %zu x %zu + aux %zu + oracle %zu)\n",
-      simd.c_str(), shards, pipelined ? " (pipelined)" : "", bytes_per_node,
+      simd.c_str(), shards, bytes_per_node,
       csr_bytes, groups_bytes, scratch_peak_bytes, shards, aux_bytes,
       oracle_memory_bytes);
   out += format(
@@ -473,7 +417,8 @@ std::string LargeCheckReport::to_string() const {
   return out;
 }
 
-ObserverFunction observer_from_trace(const Computation& c, const Trace& trace) {
+ObserverFunction observer_from_trace(const Computation& c, const Trace& trace,
+                                     ThreadPool* pool) {
   const std::size_t n = c.node_count();
   ObserverFunction phi(n);
   const std::vector<Location> locs = c.written_locations();
@@ -498,13 +443,16 @@ ObserverFunction observer_from_trace(const Computation& c, const Trace& trace) {
                        return trace.events[a].seq < trace.events[b].seq;
                      });
 
-  // Resolve each kept event's accessed location to its index in `locs`
-  // once (kNoLoc for nops and accesses to never-written locations), so
-  // the column fills below never touch the op table or binary-search.
+  // Resolve each kept event's node and accessed location (its index in
+  // `locs`; kNoLoc for nops and accesses to never-written locations)
+  // once, so the column fills below stream two flat arrays and never
+  // touch the op table, the event records or a binary search.
   constexpr std::uint32_t kNoLoc = 0xFFFFFFFFu;
+  std::vector<NodeId> enode(order.size());
   std::vector<std::uint32_t> eloc(order.size(), kNoLoc);
   for (std::size_t k = 0; k < order.size(); ++k) {
-    const Op o = c.op(trace.events[order[k]].node);
+    enode[k] = trace.events[order[k]].node;
+    const Op o = c.op(enode[k]);
     if (o.is_nop()) continue;
     const auto it = std::lower_bound(locs.begin(), locs.end(), o.loc);
     if (it != locs.end() && *it == o.loc)
@@ -513,16 +461,16 @@ ObserverFunction observer_from_trace(const Computation& c, const Trace& trace) {
 
   // One pass per written location, carrying the last write: recorded
   // observations win, writes self-observe (2.3), everything else gets
-  // the carried write — the value the node would have seen. This fills
-  // dense columns directly (installed whole via set_column) instead of
-  // per-entry phi.set calls that re-search the location list 10⁸ times
-  // on a large trace.
-  for (std::size_t i = 0; i < locs.size(); ++i) {
+  // the carried write — the value the node would have seen. Columns
+  // are independent, so they fill in parallel on `pool`, and each is
+  // installed whole via set_column instead of per-entry phi.set calls
+  // that re-search the location list 10⁸ times on a large trace.
+  std::vector<std::vector<NodeId>> cols(locs.size());
+  const auto fill = [&](std::size_t i) {
     std::vector<NodeId> col(n, kBottom);
     NodeId last = kBottom;
     for (std::size_t k = 0; k < order.size(); ++k) {
-      const TraceEvent& e = trace.events[order[k]];
-      const NodeId u = e.node;
+      const NodeId u = enode[k];
       if (eloc[k] != i) {
         if (last != kBottom) col[u] = last;
         continue;
@@ -530,12 +478,20 @@ ObserverFunction observer_from_trace(const Computation& c, const Trace& trace) {
       if (c.op(u).is_write()) {
         col[u] = u;
         last = u;
-      } else if (e.observed != kBottom && e.observed < n) {
-        col[u] = e.observed;
+      } else {
+        const NodeId x = trace.events[order[k]].observed;
+        if (x != kBottom && x < n) col[u] = x;
       }
     }
-    phi.set_column(locs[i], std::move(col));
+    cols[i] = std::move(col);
+  };
+  if (pool != nullptr) {
+    pool->parallel_for(locs.size(), fill);
+  } else {
+    for (std::size_t i = 0; i < locs.size(); ++i) fill(i);
   }
+  for (std::size_t i = 0; i < locs.size(); ++i)
+    phi.set_column(locs[i], std::move(cols[i]));
   // Recorded observations at never-written locations still land in Φ
   // (they must fail 2.1 later, so they cannot be dropped here).
   for (std::size_t k = 0; k < order.size(); ++k) {
@@ -561,7 +517,10 @@ LargeCheckReport large_check_trace(const Computation& c, const Trace& trace,
     report.detail = "trace does not fit the computation: " + why;
     return report;
   }
-  const ObserverFunction phi = observer_from_trace(c, trace);
+  ThreadPool* pool = nullptr;
+  if (options.parallel)
+    pool = options.pool != nullptr ? options.pool : &global_pool();
+  const ObserverFunction phi = observer_from_trace(c, trace, pool);
   const double decode_ms = millis_since(t0);
   LargeCheckReport report = large_check(c, phi, options);
   report.ingest_millis += decode_ms;

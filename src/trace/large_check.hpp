@@ -24,8 +24,12 @@
 //    precedence queries (see DESIGN.md for the derivation). The sweeps
 //    are the dag/sweep.hpp kernels: 4-word rows, runtime-dispatched
 //    AVX2 with a bit-identical scalar fallback;
+//  * NN/NW/WN/WW swept only where LC was not requested or fails: LC
+//    implies all four location by location (Figure 1), so a full
+//    five-model check sweeps just the LC-failing locations;
 //  * locations packed onto O(threads) shards (longest-processing-time
-//    order), each shard owning ONE reusable scratch arena — block maps,
+//    order), each shard staging and advancing its own locations chunk
+//    by chunk and owning ONE reusable scratch arena — block maps,
 //    quotient CSR, mask rows — so a run makes O(shards) allocations,
 //    not O(locations). Peak memory is O(n) words per shard, never
 //    O(n²) bits, and the report carries the measured bytes-per-node.
@@ -68,14 +72,14 @@ struct LargeCheckOptions {
   /// are bit-identical by construction; this exists so differential
   /// tests can run both in one process.
   std::optional<SimdLevel> simd;
-  /// Events per pipeline chunk (0 = engine default, 1<<17). Small
-  /// values exist for chunk-boundary fuzzing in tests; production
-  /// callers should leave this alone.
+  /// Events per chunk (0 = engine default, 1<<17). Small values exist
+  /// for chunk-boundary fuzzing in tests; production callers should
+  /// leave this alone.
   std::uint32_t chunk_nodes = 0;
-  /// Called after each consumed chunk with (positions consumed, total
-  /// node count) — the CLI's live progress line. Invoked from the
-  /// ingest thread; must be cheap and thread-compatible with the
-  /// caller's world (it is never called concurrently with itself).
+  /// The CLI's live progress line: called with (positions consumed,
+  /// averaged over the locations, total node count). Called on the
+  /// caller's thread only, after each chunk of the shard that thread
+  /// runs; the values strictly increase and the last call is (n, n).
   std::function<void(std::size_t, std::size_t)> progress;
 };
 
@@ -106,13 +110,12 @@ struct LargeCheckReport {
   double bytes_per_node = 0.0;           // check-owned bytes / node
 
   // Stage breakdown of the streaming scan (--trace in ccmm_check).
-  // Pipelined runs overlap ingest with the kernel, so stages can sum
-  // to more than total_millis; kernel/report are the max over shards.
-  double ingest_millis = 0.0;       // trace decode + 2.2 prestage
+  // Shards run concurrently and each stage is the max over shards, so
+  // stages can sum to more than total_millis.
+  double ingest_millis = 0.0;       // trace decode + stage_chunk
   double group_build_millis = 0.0;  // grouping + CSRs + wblock map
   double kernel_millis = 0.0;       // LocState::advance over all chunks
   double report_millis = 0.0;       // finalize_into + verdict fold
-  bool pipelined = false;           // ring-overlapped producer/consumers
   std::string numa;                 // topology summary ("1 node" etc.)
 
   /// Same meaning as MemoryModel::contains for the given suite bit:
@@ -142,9 +145,11 @@ struct LargeCheckReport {
 /// unrecorded slots at ⊥ would order every block after B_⊥'s stragglers
 /// and fail LC even on a serial SC execution. Because the trace order
 /// is a linear extension of the dag, the completed entries always
-/// satisfy condition 2.2.
+/// satisfy condition 2.2. With a pool, the per-location columns fill
+/// in parallel on it (same observer either way).
 [[nodiscard]] ObserverFunction observer_from_trace(const Computation& c,
-                                                   const Trace& trace);
+                                                   const Trace& trace,
+                                                   ThreadPool* pool = nullptr);
 
 /// Trace entry point: sanity-check the trace against `c` (reporting the
 /// first mismatching event on failure), build the trace observer, and

@@ -52,13 +52,18 @@ void trace_lint_pass(const Computation& c, const Trace& trace,
   // nodes count too — the weakest notion of "someone saw it"). The set
   // of observed writes is a SpanSet: on a streaming trace most writes
   // are visible somewhere, so the set sits at (or near) its all-full
-  // representation instead of an n-bit vector.
+  // representation instead of an n-bit vector. A trace column repeats
+  // its carried write over long runs, so each run sets its write once.
   SpanSet observed(c.node_count());
   const std::vector<Location>& locs = phi.stored_locations();
   for (std::size_t i = 0; i < locs.size(); ++i) {
     const std::vector<NodeId>& col = phi.stored_column(i);
+    NodeId last_set = kBottom;
     for (NodeId u = 0; u < col.size(); ++u) {
-      if (col[u] != kBottom && col[u] != u) observed.set(col[u]);
+      const NodeId x = col[u];
+      if (x == kBottom || x == u || x == last_set) continue;
+      observed.set(x);
+      last_set = x;
     }
   }
   observed.normalize();
@@ -97,7 +102,11 @@ TraceLintResult analyze_trace(const Computation& c, const Trace& trace,
   // Compiled spec models piggyback on the same pass: spec_check unions
   // their plans with the requested suite bits and finishes the scoped/
   // global order axioms with the trace order as the witness hint.
-  const ObserverFunction phi = observer_from_trace(c, trace);
+  ThreadPool* pool = nullptr;
+  if (options.analysis.scan.parallel)
+    pool = options.analysis.scan.pool != nullptr ? options.analysis.scan.pool
+                                                 : &global_pool();
+  const ObserverFunction phi = observer_from_trace(c, trace, pool);
   LargeCheckOptions lopt;
   lopt.models = options.models;
   lopt.oracle = options.analysis.scan.oracle;

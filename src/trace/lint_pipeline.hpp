@@ -56,10 +56,10 @@ struct TraceLintOptions {
   std::vector<std::shared_ptr<const CompiledModel>> spec_models;
   /// Budget per scoped/global serialization search a spec model needs.
   std::size_t spec_search_budget = 5'000'000;
-  /// Forwarded to LargeCheckOptions::progress: called after each
-  /// consumed chunk with (positions consumed, total nodes). The CLI
-  /// wires its live progress line through this on multi-million-node
-  /// postmortems.
+  /// Forwarded to LargeCheckOptions::progress: called on the caller's
+  /// thread with strictly increasing (positions consumed, averaged over
+  /// the locations, total nodes), ending with (n, n). The CLI wires its live progress line through
+  /// this on multi-million-node postmortems.
   std::function<void(std::size_t, std::size_t)> progress;
   /// Emit the DRF certificate when the scan proves race-freedom.
   bool certify = true;

@@ -496,20 +496,19 @@ void LocState::finalize_into(LocationCheck& out, LocArena& arena) {
     if (out.detail.empty()) out.detail = std::move(detail);
   };
 
-  const std::uint32_t want_masks =
-      ctx_->models & (kSuiteNN | kSuiteNW | kSuiteWN | kSuiteWW);
-  const bool need_blocks = (lc_dirty_ && !lc_violated_) || want_masks != 0;
-  if (need_blocks) fill_blocks(arena);
-
-  if ((ctx_->models & kSuiteLC) != 0) {
-    bool lc_bad = lc_violated_;
-    if (!lc_bad && lc_dirty_) lc_bad = !rebuild_lc_quotient(arena);
-    if (lc_bad)
-      record(kSuiteLC,
-             format("LC violated at location %u: the Φ-block quotient admits "
-                    "no serialization with B_⊥ first",
-                    loc_));
+  const bool want_lc = (ctx_->models & kSuiteLC) != 0;
+  bool blocks_filled = false;
+  bool lc_bad = lc_violated_;
+  if (want_lc && !lc_bad && lc_dirty_) {
+    fill_blocks(arena);
+    blocks_filled = true;
+    lc_bad = !rebuild_lc_quotient(arena);
   }
+  if (lc_bad)
+    record(kSuiteLC,
+           format("LC violated at location %u: the Φ-block quotient admits "
+                  "no serialization with B_⊥ first",
+                  loc_));
 
   if (ctx_->fresh && fresh_bad_)
     record(kSuiteFresh,
@@ -517,7 +516,16 @@ void LocState::finalize_into(LocationCheck& out, LocArena& arena) {
                   "although a write precedes it",
                   loc_, fresh_node_));
 
-  if (want_masks != 0) run_mask_models(out, arena);
+  // The lattice gate (Figure 1: LC ⊂ NN ⊂ NW, WN ⊂ WW, every model
+  // defined location by location): where LC was decided and holds, no
+  // mask model can break, so only LC-failing locations and mask-only
+  // requests pay for the sweeps.
+  const std::uint32_t want_masks =
+      ctx_->models & (kSuiteNN | kSuiteNW | kSuiteWN | kSuiteWW);
+  if (want_masks != 0 && (!want_lc || lc_bad)) {
+    if (!blocks_filled) fill_blocks(arena);
+    run_mask_models(out, arena);
+  }
 
   // WN⁺/NN⁺ are conjunctions of a base corner and freshness: fold the
   // scan verdicts, then clip to the caller's mask so an internal base

@@ -12,8 +12,8 @@
 //    force pos(u) < pos(x)), which makes trace-shaped observers —
 //    every recorded observation points backwards — issue zero oracle
 //    queries; the oracle itself is built lazily on the first batch
-//    that survives the filter. In the pipelined engine this staging is
-//    the producer's job; a standalone LocState stages for itself.
+//    that survives the filter. In the batch engine each shard stages
+//    its own locations; a standalone LocState stages for itself.
 //
 //  * LocState: accepts the staged chunks append-only and maintains
 //     - the earliest validity failure (first-failure semantics exactly
@@ -38,11 +38,13 @@
 //       violation existence is monotone under prefix extension, so
 //       verdicts agree with a batch run over the same prefix
 //       (differentially pinned by tests/test_loc_incremental.cpp).
+//       Where LC was decided and holds the sweeps are skipped: LC
+//       implies all four (Figure 1's lattice, location by location).
 //
 // finalize_into() is non-destructive and re-callable: callers may
 // interleave advance() and finalize_into() freely (the online-serving
 // contract), and the batch engine in large_check.cpp is just one
-// producer of chunks for a set of these states.
+// driver of chunks for a set of these states.
 #pragma once
 
 #include <cstdint>
@@ -188,7 +190,7 @@ struct LocArena {
 };
 
 /// Resolve one location's chunk: blocks + earliest validity failure.
-/// Shared verbatim between the pipeline producer and standalone
+/// Shared verbatim between the batch engine's shards and standalone
 /// LocStates, so both paths classify events and query the oracle
 /// identically.
 void stage_chunk(const LocKernelCtx& ctx, Location loc,
@@ -219,8 +221,9 @@ class LocState {
   /// (valid / violated, clipped to ctx.checked) to a batch check over
   /// that prefix. Non-destructive: advance() may continue afterwards
   /// and finalize_into() may be called again. Clean locations pay O(1)
-  /// for LC here; dirty ones one quotient Kahn; mask models one sweep
-  /// pass per 256 writer blocks.
+  /// for LC here; dirty ones one quotient Kahn. Mask models cost one
+  /// sweep pass per 256 writer blocks, paid only where LC was not
+  /// requested or fails (LC holding implies all four).
   void finalize_into(LocationCheck& out, LocArena& arena);
 
   [[nodiscard]] std::uint32_t consumed() const noexcept { return consumed_; }

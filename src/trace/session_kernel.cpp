@@ -355,7 +355,6 @@ LargeCheckReport CheckSession::make_report(bool require_complete) {
 
   report.simd = simd_level_name(kctx_.simd);
   report.shards = 1;
-  report.pipelined = false;
   report.numa = numa_topology().to_string();
   report.csr_bytes = csr_bytes_of(succ_) + csr_bytes_of(pred_);
   report.groups_bytes = groups_.memory_bytes();

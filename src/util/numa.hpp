@@ -1,7 +1,7 @@
 // ccmm/util/numa.hpp
 //
 // NUMA topology probe + shard placement for the streaming data plane.
-// The pipelined postmortem engine shards per-location work across the
+// The postmortem engine shards per-location work across the
 // global ThreadPool; on multi-socket machines the per-shard scratch
 // arenas (tens of bytes per node each) should live on the memory node
 // of the worker that fills and re-reads them. Linux gives us that for

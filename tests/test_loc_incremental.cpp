@@ -4,13 +4,17 @@
 // violated mask, AND detail string — to a fresh state that consumed
 // the same prefix in one batch advance. The engine-level chunk fuzz
 // then pins that large_check's verdicts are independent of the chunk
-// size the stream was cut into, and the *Parallel* test runs the
-// pipelined ring under TSan.
+// size the stream was cut into, the *Parallel* tests run the sharded
+// engine under TSan, and the lattice-gate differential (run over the
+// same universes and programs) pins that skipping the mask sweeps
+// where LC holds changes no mask verdict.
 #include "trace/loc_incremental.hpp"
 
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <thread>
+#include <utility>
 
 #include "dag/generators.hpp"
 #include "dag/sweep.hpp"
@@ -22,6 +26,8 @@
 #include "proc/random_program.hpp"
 #include "trace/large_check.hpp"
 #include "trace/loc_kernel.hpp"
+#include "trace/session_kernel.hpp"
+#include "trace/trace_binary.hpp"
 #include "util/rng.hpp"
 
 namespace ccmm {
@@ -172,6 +178,38 @@ ObserverFunction corrupt(const Computation& c, ObserverFunction phi,
   return phi;
 }
 
+/// The lattice gate's differential: a mask-only request sweeps every
+/// valid location, while kLargeCheckAll sweeps only where LC fails.
+/// Since LC implies NN, NW, WN and WW location by location, the
+/// per-location mask bits must agree.
+constexpr std::uint32_t kMaskModels = kSuiteNN | kSuiteNW | kSuiteWN | kSuiteWW;
+
+void expect_mask_bits_equal(const LargeCheckReport& swept,
+                            const LargeCheckReport& gated) {
+  ASSERT_EQ(swept.valid_observer, gated.valid_observer);
+  ASSERT_EQ(swept.locations.size(), gated.locations.size());
+  for (std::size_t i = 0; i < swept.locations.size(); ++i) {
+    const LocationCheck& a = swept.locations[i];
+    const LocationCheck& b = gated.locations[i];
+    EXPECT_EQ(a.loc, b.loc);
+    EXPECT_EQ(a.valid, b.valid);
+    EXPECT_EQ(a.violated & kMaskModels, b.violated & kMaskModels)
+        << "loc " << a.loc << ": " << a.detail << " vs " << b.detail;
+  }
+  EXPECT_EQ(swept.satisfied & kMaskModels, gated.satisfied & kMaskModels);
+}
+
+void expect_gate_matches_sweep(const Computation& c,
+                               const ObserverFunction& phi) {
+  LargeCheckOptions sweep;
+  sweep.models = kMaskModels;
+  sweep.parallel = false;
+  LargeCheckOptions gate = sweep;
+  gate.models = kLargeCheckAll;
+  expect_mask_bits_equal(large_check(c, phi, sweep),
+                         large_check(c, phi, gate));
+}
+
 TEST(LocIncremental, PrefixMatchesBatchOnExhaustiveUniverses) {
   // Every (computation, valid observer) pair of the small universes the
   // repo's other differentials sweep, at chunk sizes that put the
@@ -187,6 +225,7 @@ TEST(LocIncremental, PrefixMatchesBatchOnExhaustiveUniverses) {
                   [&](const Computation& c, const ObserverFunction& phi) {
                     for (const std::uint32_t chunk : {1u, 2u, 3u})
                       expect_prefix_equivalence(c, phi, chunk);
+                    expect_gate_matches_sweep(c, phi);
                     return true;
                   });
   }
@@ -206,11 +245,9 @@ TEST(LocIncremental, PrefixMatchesBatchOnExhaustiveSixNodeComputations) {
   std::size_t i = 0;
   for_each_computation(spec, [&](const Computation& c) {
     ObserverFunction phi = random_observer(c, rng);
-    if (++i % 2 == 0) {
-      expect_prefix_equivalence(c, phi, 2);
-    } else {
-      expect_prefix_equivalence(c, corrupt(c, std::move(phi), rng), 3);
-    }
+    if (++i % 2 != 0) phi = corrupt(c, std::move(phi), rng);
+    expect_prefix_equivalence(c, phi, i % 2 == 0 ? 2 : 3);
+    expect_gate_matches_sweep(c, phi);
     return true;
   });
 }
@@ -243,9 +280,11 @@ TEST(LocIncremental, PrefixMatchesBatchOnGeneratedPrograms) {
     auto phi = run_serial(c, mem).phi;
     instances.emplace_back(c, corrupt(c, std::move(phi), rng));
   }
-  for (const auto& [c, phi] : instances)
+  for (const auto& [c, phi] : instances) {
     for (const std::uint32_t chunk : {1u, 7u, 64u})
       expect_prefix_equivalence(c, phi, chunk);
+    expect_gate_matches_sweep(c, phi);
+  }
 }
 
 TEST(LocIncremental, EngineChunkFuzzMatchesDefault) {
@@ -293,42 +332,119 @@ TEST(LocIncremental, EngineChunkFuzzMatchesDefault) {
   }
 }
 
-TEST(LocIncrementalParallel, PipelinedRingMatchesSerial) {
-  // Big enough to clear the pipeline threshold, with a pool of its own
-  // so the test exercises the ring even on single-core CI; runs under
-  // TSan in the sanitizer job. The corrupted variant sends failure
-  // records (not just blocks) across the ring.
+TEST(LocIncrementalParallel, ShardedMatchesSerial) {
+  // Big enough to clear the sharding threshold, with a pool of its own
+  // so the test runs several shards even on single-core CI; runs under
+  // TSan in the sanitizer job. The corrupted variant puts validity
+  // failures and violations on some shards and not others; the
+  // 1024-location shape (few events per location) has every shard
+  // stage hundreds of locations per chunk.
+  ThreadPool pool(4);
   Rng rng(131);
+  for (const auto& [ops, nlocations] :
+       {std::pair{40'000, 8}, std::pair{20'000, 1024}}) {
+    proc::RandomCilkOptions opt;
+    opt.target_ops = ops;
+    opt.nlocations = nlocations;
+    const Computation c = proc::random_cilk(opt, rng);
+    ScMemory mem;
+    const ObserverFunction clean = run_serial(c, mem).phi;
+    const ObserverFunction bad = corrupt(c, ObserverFunction(clean), rng);
+    for (const ObserverFunction* phi : {&clean, &bad}) {
+      LargeCheckOptions par;
+      par.models = kLargeCheckExt;
+      par.pool = &pool;
+      par.chunk_nodes = 1 << 12;  // many chunks per shard
+      LargeCheckOptions seq = par;
+      seq.parallel = false;
+      const LargeCheckReport a = large_check(c, *phi, par);
+      const LargeCheckReport b = large_check(c, *phi, seq);
+      EXPECT_GT(a.shards, 1u) << nlocations;
+      EXPECT_EQ(b.shards, 1u);
+      ASSERT_EQ(a.valid_observer, b.valid_observer) << a.detail;
+      EXPECT_EQ(a.satisfied, b.satisfied);
+      EXPECT_EQ(a.detail, b.detail);
+      ASSERT_EQ(a.locations.size(), b.locations.size());
+      for (std::size_t i = 0; i < a.locations.size(); ++i) {
+        EXPECT_EQ(a.locations[i].loc, b.locations[i].loc);
+        EXPECT_EQ(a.locations[i].valid, b.locations[i].valid);
+        EXPECT_EQ(a.locations[i].violated, b.locations[i].violated);
+        EXPECT_EQ(a.locations[i].detail, b.locations[i].detail);
+      }
+    }
+  }
+}
+
+TEST(LocIncrementalParallel, ProgressIsMonotoneOnTheCallerThread) {
+  Rng rng(139);
   proc::RandomCilkOptions opt;
   opt.target_ops = 40'000;
   opt.nlocations = 8;
   const Computation c = proc::random_cilk(opt, rng);
   ScMemory mem;
-  const ObserverFunction clean = run_serial(c, mem).phi;
-  const ObserverFunction bad = corrupt(c, ObserverFunction(clean), rng);
+  const ObserverFunction phi = run_serial(c, mem).phi;
+  const std::size_t n = c.node_count();
 
   ThreadPool pool(4);
-  for (const ObserverFunction* phi : {&clean, &bad}) {
-    LargeCheckOptions par;
-    par.models = kLargeCheckExt;
-    par.parallel = true;
-    par.pool = &pool;
-    par.chunk_nodes = 1 << 12;  // many chunks through the ring
-    LargeCheckOptions seq = par;
-    seq.parallel = false;
-    const LargeCheckReport a = large_check(c, *phi, par);
-    const LargeCheckReport b = large_check(c, *phi, seq);
-    EXPECT_TRUE(a.pipelined);
-    ASSERT_EQ(a.valid_observer, b.valid_observer) << a.detail;
-    EXPECT_EQ(a.satisfied, b.satisfied);
-    ASSERT_EQ(a.locations.size(), b.locations.size());
-    for (std::size_t i = 0; i < a.locations.size(); ++i) {
-      EXPECT_EQ(a.locations[i].loc, b.locations[i].loc);
-      EXPECT_EQ(a.locations[i].valid, b.locations[i].valid);
-      EXPECT_EQ(a.locations[i].violated, b.locations[i].violated);
-      EXPECT_EQ(a.locations[i].detail, b.locations[i].detail);
+  LargeCheckOptions lopt;
+  lopt.models = kLargeCheckAll;
+  lopt.pool = &pool;
+  lopt.chunk_nodes = 1 << 12;
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::pair<std::size_t, std::size_t>> calls;
+  bool on_caller = true;
+  lopt.progress = [&](std::size_t done, std::size_t total) {
+    on_caller = on_caller && std::this_thread::get_id() == caller;
+    calls.emplace_back(done, total);
+  };
+  const LargeCheckReport r = large_check(c, phi, lopt);
+  EXPECT_GT(r.shards, 1u);
+  EXPECT_TRUE(on_caller);
+  ASSERT_GE(calls.size(), 2u);  // some chunk-level report, then the end
+  EXPECT_EQ(calls.back(), std::make_pair(n, n));
+  for (std::size_t i = 0; i < calls.size(); ++i) {
+    EXPECT_EQ(calls[i].second, n);
+    if (i > 0) {
+      EXPECT_GT(calls[i].first, calls[i - 1].first) << i;
     }
   }
+}
+
+TEST(LocIncremental, LatticeGateMatchesSweepInSessionFinish) {
+  // The online driver shares finalize_into: a session deciding all
+  // five models must report the same mask bits as a mask-only one.
+  Rng rng(223);
+  const Computation c = workload::random_ops(gen::random_dag(400, 0.03, rng),
+                                             6, 0.4, 0.4, rng);
+  WeakMemory mem(5);
+  const Trace t = run_execution(c, greedy_schedule(c, 4), mem).trace;
+  std::vector<BinaryTraceEvent> recs;
+  for (const TraceEvent& e : t.events)
+    recs.push_back(BinaryTraceEvent{
+        e.seq, e.time, e.proc, e.node,
+        e.observed == kBottom ? 0xFFFFFFFFu
+                              : static_cast<std::uint32_t>(e.observed),
+        0});
+  std::stable_sort(recs.begin(), recs.end(),
+                   [](const BinaryTraceEvent& a, const BinaryTraceEvent& b) {
+                     return a.seq < b.seq;
+                   });
+  const auto finish = [&](std::uint32_t models) {
+    SessionOptions sopt;
+    sopt.models = models;
+    CheckSession session(c, sopt);
+    EXPECT_TRUE(session.feed(recs.data(), recs.size())) << session.error();
+    return session.finish();
+  };
+  const LargeCheckReport swept = finish(kMaskModels);
+  const LargeCheckReport gated = finish(kLargeCheckAll);
+  ASSERT_TRUE(gated.valid_observer) << gated.detail;
+  EXPECT_TRUE(std::any_of(gated.locations.begin(), gated.locations.end(),
+                          [](const LocationCheck& l) {
+                            return (l.violated & kSuiteLC) != 0;
+                          }))
+      << "the weak execution should break LC somewhere";
+  expect_mask_bits_equal(swept, gated);
 }
 
 TEST(LocIncremental, LazyOracleBuildsOnlyWhenQueried) {

@@ -137,7 +137,7 @@ for e in "${experiments[@]}"; do
 done
 
 python3 - "$tmp" "$out_file" "$mode" <<'PY'
-import json, sys
+import json, os, sys
 
 tmp, out_file, mode = sys.argv[1], sys.argv[2], sys.argv[3]
 benches = ["bench_construct", "bench_enumeration", "bench_sc_search",
@@ -150,7 +150,22 @@ def load(path):
     with open(path) as f:
         return json.load(f)
 
-merged = {"generated_by": "tools/run_benches.sh", "mode": mode,
+def cpu_model():
+    try:
+        with open("/proc/cpuinfo") as f:
+            for line in f:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return "unknown"
+
+# The host every row below was measured on: threaded rows cannot be
+# read without the core count and the pool size.
+host = {"cpus": os.cpu_count(), "cpu_model": cpu_model(),
+        "CCMM_THREADS": os.environ.get("CCMM_THREADS", "unset")}
+
+merged = {"generated_by": "tools/run_benches.sh", "mode": mode, "host": host,
           "benchmarks": {}, "experiments": {}, "quotient_speedup": [],
           "prepared_speedup": [], "worklist_speedup": [],
           "trace_speedup": [], "dataplane_speedup": [],
