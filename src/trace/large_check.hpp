@@ -4,37 +4,32 @@
 // (CheckContext::prepare → contains_prepared) is exact but leans on the
 // O(n²)-bit transitive closure and O(n·writers)-bit Φ⁻¹ block bitsets,
 // which caps verify_execution at toy sizes. large_check() decides the
-// same per-location-decomposable memberships — LC and the four dag
-// consistency models NN/NW/WN/WW — by streaming the computation in
-// topological order:
+// same per-location-decomposable memberships — LC, the four dag
+// consistency models NN/NW/WN/WW, freshness and WN⁺/NN⁺ — by streaming
+// the computation in topological order through the per-location kernel
+// (trace/loc_incremental.hpp):
 //
 //  * observer validity (Definition 2) with the precedence-oracle layer
-//    (dag/precedence_oracle.hpp): one O(1) point query per observation
-//    instead of a closure row;
-//  * observer validity runs its 2.2 point queries through the oracle's
-//    batched entry point (precedes_batch), 4096 pairs at a time, which
-//    the SP-labels oracle answers with AVX2 gathers;
-//  * LC via the block-quotient Kahn scan, O(n+m) per location, built as
-//    a counting CSR straight into reused scratch (no edge sort);
-//  * NN/NW/WN/WW via three per-node block masks computed in one forward
-//    and one backward sweep per batch of 256 Φ⁻¹ blocks — A[v] (blocks
-//    with a member strictly before v), D[v] (blocks with a member
-//    strictly after v) and W[v] (blocks whose writer is strictly before
-//    v) — which re-express the Q(l,u,v,w) violation scan with zero
-//    precedence queries (see DESIGN.md for the derivation). The sweeps
-//    are the dag/sweep.hpp kernels: 4-word rows, runtime-dispatched
-//    AVX2 with a bit-identical scalar fallback;
-//  * NN/NW/WN/WW swept only where LC was not requested or fails: LC
-//    implies all four location by location (Figure 1), so a full
-//    five-model check sweeps just the LC-failing locations;
-//  * locations packed onto O(threads) shards (longest-processing-time
-//    order), each shard staging and advancing its own locations chunk
-//    by chunk and owning ONE reusable scratch arena — block maps,
-//    quotient CSR, mask rows — so a run makes O(shards) allocations,
-//    not O(locations). Peak memory is O(n) words per shard, never
-//    O(n²) bits, and the report carries the measured bytes-per-node.
+//    (dag/precedence_oracle.hpp) instead of closure rows, its 2.2 point
+//    queries batched 4096 at a time and skipped outright for
+//    backward-pointing observations;
+//  * LC by an incremental quotient Kahn frontier, with one O(n+m)
+//    rebuild only for locations whose arrivals contradict it;
+//  * NN/NW/WN/WW by per-node block masks in one forward and one
+//    backward sweep per batch of 256 Φ⁻¹ blocks (the dag/sweep.hpp
+//    kernels; see DESIGN.md for the derivation), swept only where LC
+//    was not requested or fails — LC implies all four location by
+//    location (Figure 1).
 //
-// Verdicts are pinned byte-identical to the prepared checkers by
+// large_check() is the per-location driver (trace/loc_driver.hpp) run
+// over the whole scan order on the caller's Φ columns: locations packed
+// onto O(threads) NUMA-placed shards, each staging and advancing its
+// own locations chunk by chunk with ONE reusable scratch arena, so peak
+// memory is O(n) words per shard, never O(n²) bits, and the report
+// carries the measured bytes-per-node. The online CheckSession
+// (trace/session_kernel.hpp) runs the same driver on one shard as
+// events arrive and returns the same LargeCheckReport. Verdicts are
+// pinned byte-identical to the prepared checkers by
 // tests/test_large_check.cpp.
 #pragma once
 
@@ -105,17 +100,21 @@ struct LargeCheckReport {
   std::size_t csr_bytes = 0;             // shared succ/pred edge copies
   std::size_t groups_bytes = 0;          // location-grouping arena
   std::size_t scratch_peak_bytes = 0;    // max per-shard arena + states
-  std::size_t aux_bytes = 0;             // wblock map + topo inverse
+  std::size_t aux_bytes = 0;             // scan order, writer maps (and
+                                         // a session's stream arrays)
   std::size_t peak_rss_bytes = 0;        // process peak RSS after check
   double bytes_per_node = 0.0;           // check-owned bytes / node
 
   // Stage breakdown of the streaming scan (--trace in ccmm_check).
   // Shards run concurrently and each stage is the max over shards, so
-  // stages can sum to more than total_millis.
+  // stages can sum to more than total_millis. In a CheckSession's
+  // reports, ingest is feed()'s event validation and column fill plus
+  // stage_chunk, kernel is LocState::advance, group build includes the
+  // stream arrays, and total is the time spent inside the session.
   double ingest_millis = 0.0;       // trace decode + stage_chunk
   double group_build_millis = 0.0;  // grouping + CSRs + wblock map
   double kernel_millis = 0.0;       // LocState::advance over all chunks
-  double report_millis = 0.0;       // finalize_into + verdict fold
+  double report_millis = 0.0;       // finalize_into (the last report's)
   std::string numa;                 // topology summary ("1 node" etc.)
 
   /// Same meaning as MemoryModel::contains for the given suite bit:
@@ -150,6 +149,14 @@ struct LargeCheckReport {
 [[nodiscard]] ObserverFunction observer_from_trace(const Computation& c,
                                                    const Trace& trace,
                                                    ThreadPool* pool = nullptr);
+
+/// The prelude of every trace entry point: check `trace` against `c`
+/// and build its observer, on `pool` (nullptr = global_pool()) when
+/// `parallel`. On a mismatch: nullopt, and `error` says "trace does not
+/// fit the computation: " and names the first mismatching event.
+[[nodiscard]] std::optional<ObserverFunction> trace_observer(
+    const Computation& c, const Trace& trace, bool parallel, ThreadPool* pool,
+    std::string& error);
 
 /// Trace entry point: sanity-check the trace against `c` (reporting the
 /// first mismatching event on failure), build the trace observer, and

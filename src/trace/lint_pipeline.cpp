@@ -89,24 +89,20 @@ TraceLintResult analyze_trace(const Computation& c, const Trace& trace,
                               const TraceLintOptions& options) {
   TraceLintResult result;
 
-  std::string why;
-  if (!trace_consistent_with(trace, c, &why)) {
-    result.diagnostics.push_back(
-        error_diag("trace", format("trace does not fit the computation: %s",
-                                   why.c_str())));
-    return result;
-  }
-  result.trace_ok = true;
-
   // Stream the trace's observer through large_check — no closure, ever.
   // Compiled spec models piggyback on the same pass: spec_check unions
   // their plans with the requested suite bits and finishes the scoped/
   // global order axioms with the trace order as the witness hint.
-  ThreadPool* pool = nullptr;
-  if (options.analysis.scan.parallel)
-    pool = options.analysis.scan.pool != nullptr ? options.analysis.scan.pool
-                                                 : &global_pool();
-  const ObserverFunction phi = observer_from_trace(c, trace, pool);
+  std::string error;
+  const std::optional<ObserverFunction> phi =
+      trace_observer(c, trace, options.analysis.scan.parallel,
+                     options.analysis.scan.pool, error);
+  if (!phi) {
+    result.diagnostics.push_back(error_diag("trace", std::move(error)));
+    return result;
+  }
+  result.trace_ok = true;
+
   LargeCheckOptions lopt;
   lopt.models = options.models;
   lopt.oracle = options.analysis.scan.oracle;
@@ -114,13 +110,13 @@ TraceLintResult analyze_trace(const Computation& c, const Trace& trace,
   lopt.parallel = options.analysis.scan.parallel;
   lopt.progress = options.progress;
   if (options.spec_models.empty()) {
-    result.report = large_check(c, phi, lopt);
+    result.report = large_check(c, *phi, lopt);
   } else {
     SpecCheckOptions sopt;
     sopt.large = lopt;
     sopt.search_budget = options.spec_search_budget;
     sopt.hint_order = trace_order(trace);
-    SpecCheckReport sr = spec_check(c, phi, options.spec_models, sopt);
+    SpecCheckReport sr = spec_check(c, *phi, options.spec_models, sopt);
     result.report = std::move(sr.base);
     result.spec_verdicts = std::move(sr.models);
   }
@@ -170,12 +166,14 @@ TraceLintResult analyze_trace(const Computation& c, const Trace& trace,
       analyze_computation(c, aopt, &result.stats);
   for (Diagnostic& d : analysis) result.diagnostics.push_back(std::move(d));
 
-  if (options.analysis.lint) trace_lint_pass(c, trace, phi, result.diagnostics);
+  if (options.analysis.lint)
+    trace_lint_pass(c, trace, *phi, result.diagnostics);
 
   // Race-free ⇒ the paper's agreement theorem applies: certify it.
   if (options.certify && result.stats.races == 0 && !result.stats.scan.truncated) {
     CertifyOptions copt = options.certificate;
     copt.scan = options.analysis.scan;
+    std::string why;
     result.certificate = make_drf_certificate(c, copt, &why);
     if (!result.certificate.has_value()) {
       result.diagnostics.push_back(error_diag(

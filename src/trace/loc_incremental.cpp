@@ -8,7 +8,6 @@
 #include "util/str.hpp"
 
 namespace ccmm {
-namespace {
 
 using Clock = std::chrono::steady_clock;
 
@@ -16,54 +15,10 @@ double millis_since(Clock::time_point t0) {
   return std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
 }
 
+namespace {
+
 /// Oracle queries per precedes_batch flush during the staging pass.
 constexpr std::size_t kOracleBatch = 4096;
-
-}  // namespace
-
-const PrecedenceOracle& LazyOracle::get() const {
-  std::call_once(once_, [this] {
-    if (oracle_ == nullptr) {
-      const auto t0 = Clock::now();
-      oracle_ = factory_();
-      build_millis_ = millis_since(t0);
-    }
-    built_ = true;
-  });
-  return *oracle_;
-}
-
-void LocArena::note_peak() {
-  const std::size_t words32 =
-      qhead.capacity() + qcur.capacity() + qtgt.capacity() +
-      indeg.capacity() + stack.capacity() + blocks.capacity() +
-      bpos.capacity() + self_stage.blk.capacity();
-  const std::size_t words64 =
-      anc.capacity() + wri.capacity() + desc.capacity();
-  peak_bytes = std::max(
-      peak_bytes, words32 * sizeof(std::uint32_t) +
-                      (bus.capacity() + bxs.capacity()) * sizeof(NodeId) +
-                      words64 * sizeof(std::uint64_t) + bout.capacity());
-}
-
-std::string loc_fail_detail(LocFailKind kind, Location loc, NodeId u,
-                            NodeId x) {
-  switch (kind) {
-    case LocFailKind::kBottomWriter:
-    case LocFailKind::kWriteNotSelf:
-      return format("write %u does not observe itself at location %u", u,
-                    loc);
-    case LocFailKind::kNotAWrite:
-      return format("Φ(%u, %u) = %u, which is not a write to location %u",
-                    loc, u, x, loc);
-    case LocFailKind::kPrecedesWrite:
-      return format("node %u precedes its observed write %u at location %u",
-                    u, x, loc);
-    case LocFailKind::kNone:
-      break;
-  }
-  return {};
-}
 
 void stage_chunk(const LocKernelCtx& ctx, Location loc,
                  const std::vector<NodeId>* col, std::uint32_t pos0,
@@ -167,6 +122,50 @@ void stage_chunk(const LocKernelCtx& ctx, Location loc,
   arena.bpos.clear();
 }
 
+}  // namespace
+
+const PrecedenceOracle& LazyOracle::get() const {
+  std::call_once(once_, [this] {
+    const auto t0 = Clock::now();
+    oracle_ = factory_();
+    build_millis_ = millis_since(t0);
+    built_ = true;
+  });
+  return *oracle_;
+}
+
+void LocArena::note_peak() {
+  const std::size_t words32 =
+      qhead.capacity() + qcur.capacity() + qtgt.capacity() +
+      indeg.capacity() + stack.capacity() + blocks.capacity() +
+      bpos.capacity();
+  const std::size_t words64 =
+      anc.capacity() + wri.capacity() + desc.capacity();
+  peak_bytes = std::max(
+      peak_bytes, words32 * sizeof(std::uint32_t) +
+                      (bus.capacity() + bxs.capacity()) * sizeof(NodeId) +
+                      words64 * sizeof(std::uint64_t) + bout.capacity());
+}
+
+std::string loc_fail_detail(LocFailKind kind, Location loc, NodeId u,
+                            NodeId x) {
+  switch (kind) {
+    case LocFailKind::kBottomWriter:
+    case LocFailKind::kWriteNotSelf:
+      return format("write %u does not observe itself at location %u", u,
+                    loc);
+    case LocFailKind::kNotAWrite:
+      return format("Φ(%u, %u) = %u, which is not a write to location %u",
+                    loc, u, x, loc);
+    case LocFailKind::kPrecedesWrite:
+      return format("node %u precedes its observed write %u at location %u",
+                    u, x, loc);
+    case LocFailKind::kNone:
+      break;
+  }
+  return {};
+}
+
 void LocState::init(const LocKernelCtx& ctx, Location loc,
                     const std::vector<NodeId>* col,
                     std::span<const NodeId> writers) {
@@ -211,22 +210,23 @@ void LocState::fail_at(std::uint32_t pos, LocFailKind kind, NodeId u,
   }
 }
 
+void LocState::stage(std::uint32_t pos0, std::uint32_t pos1,
+                     LocArena& arena, LocChunkStage& out) const {
+  stage_chunk(*ctx_, loc_, col_, pos0, pos1, arena, out);
+}
+
 void LocState::advance(std::uint32_t pos0, std::uint32_t pos1,
-                       LocArena& arena, const LocChunkStage* staged) {
+                       const LocChunkStage& staged) {
   CCMM_ASSERT(pos0 == consumed_);
   consumed_ = pos1;
   if (dead_ || pos0 >= pos1) return;
   const auto t0 = Clock::now();
 
-  if (staged == nullptr) {
-    stage_chunk(*ctx_, loc_, col_, pos0, pos1, arena, arena.self_stage);
-    staged = &arena.self_stage;
-  }
-  if (staged->fail_pos < fail_pos_)
-    fail_at(staged->fail_pos, staged->fail_kind, staged->u, staged->x);
+  if (staged.fail_pos < fail_pos_)
+    fail_at(staged.fail_pos, staged.fail_kind, staged.u, staged.x);
 
   const std::vector<NodeId>& topo = *ctx_->topo;
-  const std::uint32_t* blk = staged->blk.data();
+  const std::uint32_t* blk = staged.blk.data();
   // Classify quotient edges only while the incremental verdict is still
   // informative: a sticky violation decides LC, and a dirty location is
   // decided by the full rebuild at verdict time either way.

@@ -1,8 +1,7 @@
 // ccmm/trace/loc_incremental.hpp
 //
-// The incremental per-location checking kernel. large_check.cpp used to
-// decide everything in one monolithic batch scan per location; this
-// splits the per-location logic into two composable pieces:
+// The incremental per-location checking kernel, in two composable
+// pieces:
 //
 //  * stage_chunk(): the column-bound half of a chunk — resolve every
 //    event in [pos0, pos1) to its Φ-block, catch the local validity
@@ -12,12 +11,11 @@
 //    force pos(u) < pos(x)), which makes trace-shaped observers —
 //    every recorded observation points backwards — issue zero oracle
 //    queries; the oracle itself is built lazily on the first batch
-//    that survives the filter. In the batch engine each shard stages
-//    its own locations; a standalone LocState stages for itself.
+//    that survives the filter.
 //
 //  * LocState: accepts the staged chunks append-only and maintains
 //     - the earliest validity failure (first-failure semantics exactly
-//       matching the batch scan),
+//       matching a one-shot scan),
 //     - an incremental Kahn frontier for LC: blocks are committed to a
 //       drain order as their first member arrives (B_⊥ always first),
 //       and every Φ-block quotient edge is classified on discovery —
@@ -36,17 +34,19 @@
 //       composites) evaluated at verdict time over exactly the
 //       consumed prefix via the shared dag/sweep.hpp kernels —
 //       violation existence is monotone under prefix extension, so
-//       verdicts agree with a batch run over the same prefix
+//       verdicts agree with a one-shot run over the same prefix
 //       (differentially pinned by tests/test_loc_incremental.cpp).
 //       Where LC was decided and holds the sweeps are skipped: LC
 //       implies all four (Figure 1's lattice, location by location).
 //
 // finalize_into() is non-destructive and re-callable: callers may
 // interleave advance() and finalize_into() freely (the online-serving
-// contract), and the batch engine in large_check.cpp is just one
-// driver of chunks for a set of these states.
+// contract). The one driver of these pieces — setup, shard loop and
+// report fold, for both the postmortem and the online session — is
+// trace/loc_driver.hpp.
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -88,6 +88,10 @@ struct LocationCheck {
   std::string detail;           // first witness / validity failure
 };
 
+/// Milliseconds elapsed since `t0`: every stage timer of the kernel and
+/// its driver.
+[[nodiscard]] double millis_since(std::chrono::steady_clock::time_point t0);
+
 /// "No position": sorts after every real topological position.
 inline constexpr std::uint32_t kLocNoPos = 0xFFFFFFFFu;
 
@@ -95,15 +99,12 @@ inline constexpr std::uint32_t kLocNoPos = 0xFFFFFFFFu;
 /// pairs whose observed write sits LATER in the scan order; on
 /// trace-shaped observers that set is empty and the build (the single
 /// largest fixed cost of a postmortem) never happens. get() is
-/// thread-safe; built()/build_millis() are meant for after the run.
+/// thread-safe and times the build; built()/build_millis() are meant
+/// for after the run.
 class LazyOracle {
  public:
   using Factory = std::function<std::unique_ptr<PrecedenceOracle>()>;
-  LazyOracle() = default;
   explicit LazyOracle(Factory factory) : factory_(std::move(factory)) {}
-  /// Adopt an already-built oracle (callers that need eager stats).
-  explicit LazyOracle(std::unique_ptr<PrecedenceOracle> oracle)
-      : oracle_(std::move(oracle)), built_(oracle_ != nullptr) {}
 
   const PrecedenceOracle& get() const;
   [[nodiscard]] bool built() const noexcept { return built_; }
@@ -183,19 +184,10 @@ struct LocArena {
   std::vector<NodeId> bus, bxs;                                // 2.2 batch
   std::vector<std::uint32_t> bpos;
   std::vector<std::uint8_t> bout;
-  LocChunkStage self_stage;  // standalone advance() stages here
   std::size_t peak_bytes = 0;
 
   void note_peak();
 };
-
-/// Resolve one location's chunk: blocks + earliest validity failure.
-/// Shared verbatim between the batch engine's shards and standalone
-/// LocStates, so both paths classify events and query the oracle
-/// identically.
-void stage_chunk(const LocKernelCtx& ctx, Location loc,
-                 const std::vector<NodeId>* col, std::uint32_t pos0,
-                 std::uint32_t pos1, LocArena& arena, LocChunkStage& out);
 
 /// The validity-failure message the batch engine always printed.
 [[nodiscard]] std::string loc_fail_detail(LocFailKind kind, Location loc,
@@ -209,13 +201,16 @@ class LocState {
   void init(const LocKernelCtx& ctx, Location loc,
             const std::vector<NodeId>* col, std::span<const NodeId> writers);
 
+  /// stage_chunk(): resolve positions [pos0, pos1) of this location's
+  /// column into `out` — blocks + earliest validity failure.
+  void stage(std::uint32_t pos0, std::uint32_t pos1, LocArena& arena,
+             LocChunkStage& out) const;
+
   /// Consume positions [pos0, pos1) of ctx.topo (must continue exactly
   /// where the previous advance stopped). `staged` carries the chunk's
-  /// prestaged blocks and validity; pass nullptr to have the state
-  /// stage the chunk itself into the arena (the standalone/online
-  /// mode).
-  void advance(std::uint32_t pos0, std::uint32_t pos1, LocArena& arena,
-               const LocChunkStage* staged = nullptr);
+  /// blocks and validity from stage(); it is not read once done().
+  void advance(std::uint32_t pos0, std::uint32_t pos1,
+               const LocChunkStage& staged);
 
   /// Verdict over exactly the prefix consumed so far — byte-identical
   /// (valid / violated, clipped to ctx.checked) to a batch check over
@@ -228,6 +223,9 @@ class LocState {
 
   [[nodiscard]] std::uint32_t consumed() const noexcept { return consumed_; }
   [[nodiscard]] Location location() const noexcept { return loc_; }
+  /// Past the first validity failure: later positions change nothing,
+  /// so drivers need not stage them.
+  [[nodiscard]] bool done() const noexcept { return dead_; }
 
   /// O(1) "known so far" verdict bits for the online-serving fast path:
   /// a validity failure, a sticky B_⊥ quotient edge, and the freshness
@@ -245,7 +243,7 @@ class LocState {
   }
 
   /// Heap bytes this state holds (drain positions, shadow SpanSet) —
-  /// reported into the engine's bytes-per-node.
+  /// reported into the driver's bytes-per-node.
   [[nodiscard]] std::size_t memory_bytes() const noexcept;
 
  private:

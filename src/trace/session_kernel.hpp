@@ -8,8 +8,10 @@
 // arrive append-only as validated 32-byte binary records (in
 // nondecreasing seq order — the stream IS the execution order), the
 // observer columns fill incrementally with exactly the
-// observer_from_trace() completion rules, and the LocStates advance
-// through a *watermark* on the batch engine's scan order:
+// observer_from_trace() completion rules, and the session runs the
+// same per-location driver as large_check() (trace/loc_driver.hpp) —
+// same setup, same shard loop on one shard, same report fold — through
+// a *watermark* on the driver's scan order:
 //
 //   scan order  = ids when topological, else dag().topological_order()
 //                 — the SAME order large_check() scans, so verdicts,
@@ -22,6 +24,9 @@
 //                 fully covered. On serial/SC-shaped streams the
 //                 watermark tracks arrival exactly and nothing waits.
 //
+// What the session keeps for itself is the stream: event validation,
+// the column fill with its carried last write, splicing in never-
+// written read locations, the watermark and the retained events.
 // feed() performs the incremental half of trace_consistent_with (one
 // event per node, known nodes, predecessors already arrived, seq
 // monotone); a violation makes the session sticky-failed and finish()
@@ -33,13 +38,14 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "trace/large_check.hpp"
-#include "trace/loc_kernel.hpp"
+#include "trace/loc_driver.hpp"
 #include "trace/trace_binary.hpp"
 
 namespace ccmm {
@@ -92,8 +98,8 @@ class CheckSession {
   }
   /// Scan positions consumed by the kernel (== events_seen on in-order
   /// streams; lags behind it while the scan order waits for a hole).
-  [[nodiscard]] std::uint64_t consumed() const noexcept { return consumed_; }
-  [[nodiscard]] bool complete() const noexcept { return consumed_ == n_; }
+  [[nodiscard]] std::uint64_t consumed() const noexcept { return watermark_; }
+  [[nodiscard]] bool complete() const noexcept { return watermark_ == n_; }
 
   /// O(locations): fold the sticky per-location flags. Never touches
   /// the oracle or the sweep kernels — this is the per-flush verdict
@@ -125,60 +131,45 @@ class CheckSession {
   [[nodiscard]] std::size_t memory_bytes() const noexcept;
 
  private:
-  struct Loc;  // one location's column + LocState
+  struct Loc;  // one location's column and carried last write
 
   void fail_stream(std::string why);
-  Loc& extra_state_for(Location l);
+  std::vector<NodeId>& extra_column(Location l);
   void fill_columns(const BinaryTraceEvent* events, std::size_t count);
   void advance_kernel();
+  [[nodiscard]] std::size_t stream_bytes() const noexcept;
   LargeCheckReport make_report(bool require_complete);
 
   std::unique_ptr<Computation> c_;
   SessionOptions opts_;
   std::size_t n_ = 0;
-  std::uint32_t checked_ = 0;  // models clipped to kLargeCheckExt
-  std::uint32_t base_ = 0;     // composite-expanded base bits
-  bool want_fresh_ = false;
-  bool want_masks_ = false;
+  std::optional<LocDriver> driver_;  // setup, ctx and report fold
 
-  std::unique_ptr<LazyOracle> oracle_;  // once_flag member: pin the address
-  std::string predicted_oracle_;
-  double eager_oracle_ms_ = 0.0;
-
-  std::vector<NodeId> topo_;           // scan order (batch-identical)
-  std::vector<std::uint32_t> posv_;    // node -> scan position (iff !iota)
-  Csr pred_;
-  Csr succ_;
-  LocationGroups groups_;
-  std::vector<std::uint32_t> wblock_;
-  std::vector<std::uint32_t> wloc_;
-  LocKernelCtx kctx_;
+  // One shard of states; cols_[k] is shard_.states[k]'s column. Every
+  // written location comes first, in location order (the batch
+  // worklist); never-written read targets are appended when their
+  // first recorded observation arrives (extras_: location -> index).
+  LocShard shard_;
+  std::vector<std::unique_ptr<Loc>> cols_;
+  std::size_t nwritten_ = 0;
+  std::map<Location, std::size_t> extras_;
 
   // Event -> written-location index resolution, precomputed per node so
   // the per-batch column fill never touches the op table.
   static constexpr std::uint32_t kNoLoc = 0xFFFFFFFFu;
-  std::vector<std::uint32_t> nloc_of_;   // index into groups_.locs
+  std::vector<std::uint32_t> nloc_of_;   // index into cols_
   std::vector<std::uint8_t> is_write_;
-
-  // Per-location states, sorted by location: every written location up
-  // front (batch task order), never-written read targets spliced in
-  // lazily when their first recorded observation arrives.
-  std::vector<std::unique_ptr<Loc>> states_;
-  LocArena arena_;
 
   std::vector<std::uint8_t> arrived_;
   std::uint64_t events_seen_ = 0;
   std::uint64_t last_seq_ = 0;
-  std::uint32_t watermark_ = 0;   // arrived-prefix length in scan order
-  std::uint32_t consumed_ = 0;    // == watermark_ after advance_kernel()
+  std::uint32_t watermark_ = 0;  // arrived-prefix length in scan order
   std::string error_;
 
   std::vector<BinaryTraceEvent> retained_;
 
-  // Stage accounting folded into reports (mirrors the batch fields).
-  double group_build_ms_ = 0.0;
-  double ingest_ms_ = 0.0;
-  double kernel_ms_ = 0.0;
+  double stream_setup_ms_ = 0.0;  // the per-node stream arrays
+  double ingest_ms_ = 0.0;        // validation + column fill
   double active_ms_ = 0.0;  // total time spent inside feed()/check()
 };
 

@@ -154,10 +154,12 @@ SpecCheckReport spec_check_trace(
     const Computation& c, const Trace& trace,
     const std::vector<std::shared_ptr<const CompiledModel>>& models,
     const SpecCheckOptions& options) {
-  std::string why;
-  if (!trace_consistent_with(trace, c, &why)) {
+  std::string error;
+  const std::optional<ObserverFunction> phi = trace_observer(
+      c, trace, options.large.parallel, options.large.pool, error);
+  if (!phi) {
     SpecCheckReport report;
-    report.base.detail = "trace does not fit the computation: " + why;
+    report.base.detail = std::move(error);
     report.models.reserve(models.size());
     for (const auto& m : models) {
       SpecModelVerdict v;
@@ -168,14 +170,13 @@ SpecCheckReport spec_check_trace(
     }
     return report;
   }
-  const ObserverFunction phi = observer_from_trace(c, trace);
   SpecCheckOptions opt = options;
   // The execution order explains every column of a scope-consistent
   // serial execution (ScMemory reads the last write in trace order), so
   // the scoped/global obligations usually verify in O(n + m) and never
   // backtrack.
   if (opt.hint_order.empty()) opt.hint_order = trace_order(trace);
-  return spec_check(c, phi, models, opt);
+  return spec_check(c, *phi, models, opt);
 }
 
 }  // namespace ccmm

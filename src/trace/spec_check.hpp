@@ -72,9 +72,10 @@ struct SpecCheckReport {
     const SpecCheckOptions& options = {});
 
 /// Trace entry point: sanity-check the trace, build its total observer
-/// (observer_from_trace), and run spec_check with the trace's execution
-/// order as the witness hint — for scope-consistent serial executions
-/// the scoped searches then never backtrack.
+/// (trace_observer, on the pool options.large selects), and run
+/// spec_check with the trace's execution order as the witness hint —
+/// for scope-consistent serial executions the scoped searches then
+/// never backtrack.
 [[nodiscard]] SpecCheckReport spec_check_trace(
     const Computation& c, const Trace& trace,
     const std::vector<std::shared_ptr<const CompiledModel>>& models,

@@ -2,7 +2,9 @@
 // (trace/loc_incremental.hpp): after consuming any prefix of the event
 // stream, finalize_into must produce verdicts byte-identical — valid,
 // violated mask, AND detail string — to a fresh state that consumed
-// the same prefix in one batch advance. The engine-level chunk fuzz
+// the same prefix in one batch advance, both built by the production
+// setup and driven by the production shard loop (trace/loc_driver.hpp).
+// The engine-level chunk fuzz
 // then pins that large_check's verdicts are independent of the chunk
 // size the stream was cut into, the *Parallel* tests run the sharded
 // engine under TSan, and the lattice-gate differential (run over the
@@ -12,7 +14,6 @@
 
 #include <gtest/gtest.h>
 
-#include <numeric>
 #include <thread>
 #include <utility>
 
@@ -25,7 +26,7 @@
 #include "exec/workload.hpp"
 #include "proc/random_program.hpp"
 #include "trace/large_check.hpp"
-#include "trace/loc_kernel.hpp"
+#include "trace/loc_driver.hpp"
 #include "trace/session_kernel.hpp"
 #include "trace/trace_binary.hpp"
 #include "util/rng.hpp"
@@ -33,127 +34,49 @@
 namespace ccmm {
 namespace {
 
-/// The shared-context setup large_check performs, reproduced for
-/// driving LocStates directly: topological order, both CSRs, the
-/// location grouping, the writer→block/location maps and a lazy
-/// oracle. Holds one task per location the engine would check (plus
-/// all-⊥ stored columns, which both sides of the differential treat
-/// identically).
+/// The production setup — the LocDriver large_check and CheckSession
+/// share (scan order, CSRs, grouping, writer maps, lazy oracle, kernel
+/// ctx) — and its worklist for `phi`, for driving LocShards directly.
 struct KernelHarness {
-  struct Task {
-    Location loc = 0;
-    const std::vector<NodeId>* col = nullptr;
-    std::span<const NodeId> writers;
-  };
+  LocDriver driver;
+  std::vector<LocTask> tasks;
 
-  const Computation* c;
-  std::vector<NodeId> topo;
-  std::vector<std::uint32_t> posv;
-  Csr pred;
-  Csr succ;
-  LocationGroups groups;
-  std::vector<std::uint32_t> wblock;
-  std::vector<std::uint32_t> wloc;
-  LazyOracle oracle;
-  LocKernelCtx ctx;
-  std::vector<Task> tasks;
-
-  KernelHarness(const Computation& comp, const ObserverFunction& phi,
-                std::uint32_t models, std::uint32_t checked, bool fresh)
-      : c(&comp), oracle([&comp] {
-          return make_oracle(comp.dag(), comp.sp_structure().get(), {});
-        }) {
-    const std::size_t n = comp.node_count();
-    if (comp.dag().ids_topological()) {
-      topo.resize(n);
-      std::iota(topo.begin(), topo.end(), NodeId{0});
-    } else {
-      topo = comp.dag().topological_order();
-      posv.resize(n);
-      for (std::uint32_t p = 0; p < n; ++p) posv[topo[p]] = p;
-    }
-    pred = make_pred_csr(comp.dag());
-    succ = make_succ_csr(comp.dag());
-    groups = group_location_accesses(comp);
-    wblock.assign(n, 0);
-    wloc.assign(n, 0);
-    for (std::size_t gi = 0; gi < groups.size(); ++gi) {
-      const std::span<const NodeId> wr = groups.writers(gi);
-      for (std::size_t i = 0; i < wr.size(); ++i) {
-        wblock[wr[i]] = static_cast<std::uint32_t>(i) + 1;
-        wloc[wr[i]] = groups.locs[gi];
-      }
-    }
-    ctx = LocKernelCtx{&comp,
-                       &oracle,
-                       &topo,
-                       posv.empty() ? nullptr : posv.data(),
-                       &pred,
-                       &succ,
-                       wblock.data(),
-                       wloc.data(),
-                       models,
-                       checked,
-                       fresh,
-                       SimdLevel::kScalar};
-
-    const std::vector<Location>& stored = phi.stored_locations();
-    std::vector<Location> all;
-    for (std::size_t gi = 0; gi < groups.size(); ++gi)
-      if (!groups.writers(gi).empty()) all.push_back(groups.locs[gi]);
-    all.insert(all.end(), stored.begin(), stored.end());
-    std::sort(all.begin(), all.end());
-    all.erase(std::unique(all.begin(), all.end()), all.end());
-    for (const Location l : all) {
-      const auto si = std::lower_bound(stored.begin(), stored.end(), l);
-      const std::vector<NodeId>* col =
-          si != stored.end() && *si == l
-              ? &phi.stored_column(
-                    static_cast<std::size_t>(si - stored.begin()))
-              : nullptr;
-      std::span<const NodeId> writers;
-      const auto gi = std::lower_bound(groups.locs.begin(),
-                                       groups.locs.end(), l);
-      if (gi != groups.locs.end() && *gi == l)
-        writers = groups.writers(
-            static_cast<std::size_t>(gi - groups.locs.begin()));
-      tasks.push_back(Task{l, col, writers});
-    }
-  }
+  KernelHarness(const Computation& c, const ObserverFunction& phi)
+      : driver(c, kLargeCheckExt, {}, SimdLevel::kScalar),
+        tasks(driver.tasks_for(phi)) {}
 };
 
 /// Consume the stream in `chunk`-sized advances, and after EVERY chunk
-/// compare the incremental verdict against a fresh state that consumed
+/// compare the incremental verdict against a fresh shard that consumed
 /// the same prefix in one batch call.
 void expect_prefix_equivalence(const Computation& c,
                                const ObserverFunction& phi,
                                std::uint32_t chunk) {
-  const KernelHarness h(c, phi, kLargeCheckAll, kLargeCheckExt, true);
+  const KernelHarness h(c, phi);
   const auto n = static_cast<std::uint32_t>(c.node_count());
-  for (const KernelHarness::Task& t : h.tasks) {
-    LocArena inc_arena;
-    LocState inc;
-    inc.init(h.ctx, t.loc, t.col, t.writers);
+  for (const LocTask& t : h.tasks) {
+    LocShard inc;
+    inc.add(h.driver.ctx(), t, 0);
     for (std::uint32_t p0 = 0; p0 < n; p0 += chunk) {
       const std::uint32_t p1 = std::min(n, p0 + chunk);
-      inc.advance(p0, p1, inc_arena);
+      inc.advance_to(p1, chunk);
 
-      LocArena batch_arena;
-      LocState batch;
-      batch.init(h.ctx, t.loc, t.col, t.writers);
-      batch.advance(0, p1, batch_arena);
+      LocShard batch;
+      batch.add(h.driver.ctx(), t, 0);
+      batch.advance_to(p1, p1);
 
-      LocationCheck a;
-      LocationCheck b;
-      inc.finalize_into(a, inc_arena);
-      batch.finalize_into(b, batch_arena);
-      ASSERT_EQ(a.valid, b.valid)
-          << "loc " << t.loc << " prefix " << p1 << ": " << a.detail
-          << " vs " << b.detail;
-      EXPECT_EQ(a.violated, b.violated)
+      std::vector<LocationCheck> a(1);
+      std::vector<LocationCheck> b(1);
+      inc.finalize(a);
+      batch.finalize(b);
+      ASSERT_EQ(a[0].valid, b[0].valid)
+          << "loc " << t.loc << " prefix " << p1 << ": " << a[0].detail
+          << " vs " << b[0].detail;
+      EXPECT_EQ(a[0].violated, b[0].violated)
           << "loc " << t.loc << " prefix " << p1;
-      EXPECT_EQ(a.detail, b.detail) << "loc " << t.loc << " prefix " << p1;
-      EXPECT_EQ(a.writers, b.writers);
+      EXPECT_EQ(a[0].detail, b[0].detail)
+          << "loc " << t.loc << " prefix " << p1;
+      EXPECT_EQ(a[0].writers, b[0].writers);
     }
   }
 }

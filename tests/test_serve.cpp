@@ -83,6 +83,14 @@ void expect_reports_identical(const LargeCheckReport& got,
       << ctx << " got=" << got.detail << " want=" << want.detail;
   EXPECT_EQ(got.satisfied, want.satisfied) << ctx;
   EXPECT_EQ(got.detail, want.detail) << ctx;
+  // Both paths fold through the same driver: the setup and oracle
+  // accounting must agree too, not only the verdicts.
+  EXPECT_EQ(got.oracle_kind, want.oracle_kind) << ctx;
+  EXPECT_EQ(got.oracle_memory_bytes, want.oracle_memory_bytes) << ctx;
+  EXPECT_EQ(got.simd, want.simd) << ctx;
+  EXPECT_EQ(got.shards, want.shards) << ctx;
+  EXPECT_EQ(got.csr_bytes, want.csr_bytes) << ctx;
+  EXPECT_EQ(got.groups_bytes, want.groups_bytes) << ctx;
   ASSERT_EQ(got.locations.size(), want.locations.size()) << ctx;
   for (std::size_t i = 0; i < got.locations.size(); ++i) {
     EXPECT_EQ(got.locations[i].loc, want.locations[i].loc) << ctx;
@@ -111,10 +119,10 @@ Trace trace_from_records(const Computation& c,
 
 /// Stream `recs` through a CheckSession in `chunk`-sized feeds and
 /// demand the finish() report match the batch postmortem byte for
-/// byte.
-void expect_session_matches_batch(const Computation& c,
-                                  const std::vector<BinaryTraceEvent>& recs,
-                                  std::uint32_t models, std::size_t chunk) {
+/// byte. Returns the session's report.
+LargeCheckReport expect_session_matches_batch(
+    const Computation& c, const std::vector<BinaryTraceEvent>& recs,
+    std::uint32_t models, std::size_t chunk) {
   SessionOptions sopt;
   sopt.models = models;
   CheckSession session(c, sopt);
@@ -136,6 +144,7 @@ void expect_session_matches_batch(const Computation& c,
   // finish() is idempotent: the verdict is a pure function of the
   // consumed stream.
   expect_reports_identical(session.finish(), want, "refinish");
+  return got;
 }
 
 TEST(CheckSession, SerialScStreamMatchesBatch) {
@@ -191,33 +200,35 @@ TEST(CheckSession, InterleavedScheduleStreamMatchesBatch) {
     expect_session_matches_batch(c, bad, kLargeCheckExt, chunk);
 }
 
-/// Retarget one read of `c` at never-written location `extra`, plant a
-/// recorded observation on it mid-stream, and demand online ≡ batch.
-/// The extra state splices into the location-sorted task list at a
-/// position determined by `extra`, so callers pick it to land before
-/// or after the written states.
-void expect_extra_location_matches_batch(Computation c, Location extra) {
+/// Retarget one read of `c` per location in `extras` (each
+/// never-written), plant a recorded observation on each mid-stream,
+/// and demand online ≡ batch. Each extra state's report row lands in
+/// the location-sorted task list at a position determined by its
+/// location, so callers pick them to land before, between or after the
+/// written states.
+void expect_extra_locations_match_batch(Computation c,
+                                        std::vector<Location> extras) {
   std::vector<Op> ops;
   ops.reserve(c.node_count());
   for (NodeId u = 0; u < c.node_count(); ++u) ops.push_back(c.op(u));
-  NodeId reader = kBottom;
-  for (NodeId u = 0; u < c.node_count(); ++u)
+  std::vector<NodeId> readers;
+  for (NodeId u = 0; u < c.node_count() && readers.size() < extras.size();
+       ++u)
     if (ops[u].is_read()) {
-      ops[u] = Op::read(extra);
-      reader = u;
-      break;
+      ops[u] = Op::read(extras[readers.size()]);
+      readers.push_back(u);
     }
-  ASSERT_NE(reader, kBottom);
+  ASSERT_EQ(readers.size(), extras.size());
   c.set_ops(ops);
   ScMemory mem;
   std::vector<BinaryTraceEvent> recs = records_of(run_serial(c, mem).trace);
-  bool planted = false;
+  std::size_t planted = 0;
   for (BinaryTraceEvent& r : recs)
-    if (r.node == reader) {
+    if (std::find(readers.begin(), readers.end(), r.node) != readers.end()) {
       r.observed = recs.front().node;  // any node: must fail 2.1
-      planted = true;
+      ++planted;
     }
-  ASSERT_TRUE(planted);
+  ASSERT_EQ(planted, extras.size());
   renumber(recs);
   for (const std::size_t chunk : {1u, 64u})
     expect_session_matches_batch(c, recs, kLargeCheckExt, chunk);
@@ -231,15 +242,15 @@ TEST(CheckSession, NeverWrittenLocationObservationsMatchBatch) {
   Rng rng(41);
   const Computation c = workload::random_ops(gen::random_dag(120, 0.05, rng),
                                              4, 0.5, 0.1, rng);
-  expect_extra_location_matches_batch(c, Location{999});
+  expect_extra_locations_match_batch(c, {Location{999}});
 }
 
 TEST(CheckSession, NeverWrittenLowLocationSplicesBeforeWrittenStates) {
   // The mirror case: the extra location sorts BEFORE every written
-  // one, so the mid-stream splice shifts every written state's index
-  // in the task list. Regression test for per-state bookkeeping kept
-  // in a states_-indexed side vector going out of alignment after the
-  // shift (out-of-bounds writes and wrong carried last-writes).
+  // one, so the mid-stream splice moves every written location's
+  // report row. Regression test for per-state bookkeeping going out of
+  // alignment after a splice (out-of-bounds writes and wrong carried
+  // last-writes).
   Rng rng(41);
   Computation c = workload::random_ops(gen::random_dag(120, 0.05, rng), 4,
                                        0.5, 0.1, rng);
@@ -251,7 +262,44 @@ TEST(CheckSession, NeverWrittenLowLocationSplicesBeforeWrittenStates) {
     ops.push_back(o);
   }
   c.set_ops(ops);
-  expect_extra_location_matches_batch(c, Location{0});
+  expect_extra_locations_match_batch(c, {Location{0}});
+}
+
+TEST(CheckSession, TwoNeverWrittenLocationsSpliceInLocationOrder) {
+  // Written locations become the odd ones; the first extra (4, on the
+  // earliest retargeted read) lands between written locations, the
+  // second (0) then lands before all of them and moves every row,
+  // the first extra's included.
+  Rng rng(43);
+  Computation c = workload::random_ops(gen::random_dag(120, 0.05, rng), 4,
+                                       0.5, 0.1, rng);
+  std::vector<Op> ops;
+  ops.reserve(c.node_count());
+  for (NodeId u = 0; u < c.node_count(); ++u) {
+    Op o = c.op(u);
+    if (!o.is_nop()) o.loc = 2 * o.loc + 1;
+    ops.push_back(o);
+  }
+  c.set_ops(ops);
+  expect_extra_locations_match_batch(c, {Location{4}, Location{0}});
+}
+
+TEST(CheckSession, EagerOracleStreamMatchesBatch) {
+  // kAuto on a computation with no SP parse above closure_threshold:
+  // the oracle kind is unpredictable, so both paths build the oracle
+  // up front and must report the same kind and bytes.
+  Rng rng(71);
+  const Computation c = workload::random_ops(
+      gen::random_dag(2200, 0.002, rng), 6, 0.4, 0.4, rng);
+  ASSERT_GT(c.node_count(), OracleOptions{}.closure_threshold);
+  ASSERT_EQ(c.sp_structure(), nullptr);
+  WeakMemory mem(5);
+  const std::vector<BinaryTraceEvent> recs =
+      records_of(run_execution(c, greedy_schedule(c, 4), mem).trace);
+  const LargeCheckReport got =
+      expect_session_matches_batch(c, recs, kLargeCheckExt, 512);
+  EXPECT_FALSE(got.oracle_kind.empty());
+  EXPECT_GT(got.oracle_memory_bytes, 0u);
 }
 
 TEST(CheckSession, MidStreamCheckAndFastVerdictAreConsistent) {

@@ -179,6 +179,31 @@ TEST(SpecCheck, TraceEntryAgreesWithObserverEntry) {
   }
 }
 
+TEST(SpecCheck, TraceEntryParallelObserverMatchesSerial) {
+  // The trace entry fills the observer columns on options.large's pool
+  // when parallel; the verdicts must not depend on it.
+  const auto models = pack_models();
+  ThreadPool pool(3);
+  for (const Computation& c : small_workloads()) {
+    WeakMemory mem(4);
+    const ExecutionResult run = run_execution(c, greedy_schedule(c, 3), mem);
+    SpecCheckOptions serial;
+    serial.large.parallel = false;
+    SpecCheckOptions sharded;
+    sharded.large.pool = &pool;
+    const SpecCheckReport a = spec_check_trace(c, run.trace, models, serial);
+    const SpecCheckReport b = spec_check_trace(c, run.trace, models, sharded);
+    EXPECT_EQ(a.base.satisfied, b.base.satisfied);
+    EXPECT_EQ(a.base.detail, b.base.detail);
+    ASSERT_EQ(a.models.size(), b.models.size());
+    for (std::size_t i = 0; i < a.models.size(); ++i) {
+      EXPECT_EQ(a.models[i].decided, b.models[i].decided);
+      EXPECT_EQ(a.models[i].member, b.models[i].member) << a.models[i].name;
+      EXPECT_EQ(a.models[i].detail, b.models[i].detail);
+    }
+  }
+}
+
 TEST(SpecCheck, MisfitTraceRejectsEveryModelWithDiagnosis) {
   const auto models = pack_models();
   const Computation c = workload::contended_counter(5);
