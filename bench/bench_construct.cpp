@@ -81,7 +81,7 @@ void BM_FixpointSequential(benchmark::State& state) {
   const auto spec = thin_spec(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
     FixpointStats stats;
-    const auto set = constructible_version(*QDagModel::nn(), spec, &stats);
+    const auto set = constructible_version(*QDagModel::nn(), spec, {}, &stats);
     benchmark::DoNotOptimize(set.live_count());
     state.counters["pairs"] = static_cast<double>(stats.initial_pairs);
     state.counters["pruned"] = static_cast<double>(stats.pruned);
@@ -114,7 +114,7 @@ void BM_FixpointQuotient(benchmark::State& state) {
   for (auto _ : state) {
     FixpointStats stats;
     const auto set =
-        constructible_version_quotient(*QDagModel::nn(), spec, &stats);
+        constructible_version_quotient(*QDagModel::nn(), spec, {}, &stats);
     benchmark::DoNotOptimize(set.live_count());
     state.counters["pairs"] = static_cast<double>(stats.initial_pairs);
     state.counters["pruned"] = static_cast<double>(stats.pruned);

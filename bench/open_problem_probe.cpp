@@ -47,7 +47,7 @@ int run() {
 
       FixpointStats stats;
       const BoundedModelSet star =
-          constructible_version(*probe.model, spec, &stats);
+          constructible_version(*probe.model, spec, {}, &stats);
       const auto cmp = compare_with_model(star, *lc);
       h.note(format("horizon %zu: %zu pairs, %zu pruned, %zu rounds",
                     horizon, stats.initial_pairs, stats.pruned,
@@ -112,7 +112,7 @@ int run() {
       spec.max_writes_per_location = 2;
       FixpointStats stats;
       const BoundedModelSet star =
-          constructible_version_quotient(*probe.model, spec, &stats);
+          constructible_version_quotient(*probe.model, spec, {}, &stats);
       h.note(format("%s, horizon 7: %zu pairs, %zu pruned, %zu rounds, "
                     "%zu support edges, %zu repairs, worklist peak %zu",
                     probe.name, stats.initial_pairs, stats.pruned,

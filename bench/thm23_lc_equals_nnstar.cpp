@@ -28,7 +28,8 @@ int run() {
     spec.max_writes_per_location = 2;
 
     FixpointStats stats;
-    const BoundedModelSet nn_star = constructible_version(*nn, spec, &stats);
+    const BoundedModelSet nn_star =
+        constructible_version(*nn, spec, {}, &stats);
     const BoundedModelSet nn_plain =
         BoundedModelSet::restrict_model(*nn, spec);
     const auto cmp = compare_with_model(nn_star, *lc);

@@ -432,7 +432,7 @@ int main(int argc, char** argv) {
     std::printf("\ncompiled models:  check time\n");
     for (const auto& m : selected) {
       const auto t0 = clock::now();
-      const CompiledVerdict cv = m->check_prepared(p);
+      const CompiledVerdict cv = m->check_prepared(p, sc_opt.budget);
       std::printf("  %-4s %-3s %10.1f us\n", m->name().c_str(),
                   cv.exhausted ? "?" : (cv.member ? "yes" : "no"),
                   us_since(t0));

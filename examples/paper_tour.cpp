@@ -95,7 +95,7 @@ int main() {
   spec.max_writes_per_location = 2;
   FixpointStats stats;
   const BoundedModelSet nn_star =
-      constructible_version(*QDagModel::nn(), spec, &stats);
+      constructible_version(*QDagModel::nn(), spec, {}, &stats);
   const auto cmp =
       compare_with_model(nn_star, *LocationConsistencyModel::instance());
   std::printf("bounded NN* fixpoint (horizon 4): %zu pairs, %zu pruned\n",

@@ -109,7 +109,8 @@ std::optional<ModelSplit> classify_race(const Computation& c, const Race& r,
     };
     for (std::size_t m = 0; m < kModels; ++m) accepted[m].push_back(in[m]);
     for (std::size_t e = 0; e < opt.extra_models.size(); ++e) {
-      const CompiledVerdict v = opt.extra_models[e]->check_prepared(p);
+      const CompiledVerdict v =
+          opt.extra_models[e]->check_prepared(p, opt.sc_budget);
       if (v.exhausted) sc_exhausted = true;
       accepted[kModels + e].push_back(v.member);
     }

@@ -508,24 +508,10 @@ BoundedModelSet fixpoint_impl(BoundedModelSet set,
 
 BoundedModelSet constructible_version(const MemoryModel& model,
                                       const UniverseSpec& spec,
-                                      FixpointStats* stats) {
-  return constructible_version(model, spec, FixpointOptions{}, stats);
-}
-
-BoundedModelSet constructible_version(const MemoryModel& model,
-                                      const UniverseSpec& spec,
                                       const FixpointOptions& options,
                                       FixpointStats* stats) {
   return fixpoint_impl(BoundedModelSet::restrict_model(model, spec), options,
                        nullptr, stats);
-}
-
-BoundedModelSet constructible_version_parallel(const MemoryModel& model,
-                                               const UniverseSpec& spec,
-                                               ThreadPool& pool,
-                                               FixpointStats* stats) {
-  return constructible_version_parallel(model, spec, pool, FixpointOptions{},
-                                        stats);
 }
 
 BoundedModelSet constructible_version_parallel(const MemoryModel& model,
@@ -539,24 +525,11 @@ BoundedModelSet constructible_version_parallel(const MemoryModel& model,
 
 BoundedModelSet constructible_version_quotient(const MemoryModel& model,
                                                const UniverseSpec& spec,
-                                               FixpointStats* stats) {
-  return constructible_version_quotient(model, spec, FixpointOptions{}, stats);
-}
-
-BoundedModelSet constructible_version_quotient(const MemoryModel& model,
-                                               const UniverseSpec& spec,
                                                const FixpointOptions& options,
                                                FixpointStats* stats) {
   return fixpoint_impl(
       BoundedModelSet::restrict_model_quotient(model, spec, nullptr), options,
       nullptr, stats);
-}
-
-BoundedModelSet constructible_version_quotient_parallel(
-    const MemoryModel& model, const UniverseSpec& spec, ThreadPool& pool,
-    FixpointStats* stats) {
-  return constructible_version_quotient_parallel(model, spec, pool,
-                                                 FixpointOptions{}, stats);
 }
 
 BoundedModelSet constructible_version_quotient_parallel(

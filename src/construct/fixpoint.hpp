@@ -147,10 +147,7 @@ struct FixpointStats {
 /// and are never pruned.
 [[nodiscard]] BoundedModelSet constructible_version(
     const MemoryModel& model, const UniverseSpec& spec,
-    FixpointStats* stats = nullptr);
-[[nodiscard]] BoundedModelSet constructible_version(
-    const MemoryModel& model, const UniverseSpec& spec,
-    const FixpointOptions& options, FixpointStats* stats = nullptr);
+    const FixpointOptions& options = {}, FixpointStats* stats = nullptr);
 
 /// Pool-parallel variant: the restriction's membership scan, the
 /// extension/answer resolution, and (Jacobi mode) the per-round judging
@@ -158,10 +155,7 @@ struct FixpointStats {
 /// greatest fixpoint, possibly in a different number of rounds.
 [[nodiscard]] BoundedModelSet constructible_version_parallel(
     const MemoryModel& model, const UniverseSpec& spec, ThreadPool& pool,
-    FixpointStats* stats = nullptr);
-[[nodiscard]] BoundedModelSet constructible_version_parallel(
-    const MemoryModel& model, const UniverseSpec& spec, ThreadPool& pool,
-    const FixpointOptions& options, FixpointStats* stats = nullptr);
+    const FixpointOptions& options = {}, FixpointStats* stats = nullptr);
 
 /// Quotient fixpoint: one representative per isomorphism class, one-node
 /// extension answers transported along the canonical relabelings (in
@@ -175,19 +169,13 @@ struct FixpointStats {
 /// labeled driver.
 [[nodiscard]] BoundedModelSet constructible_version_quotient(
     const MemoryModel& model, const UniverseSpec& spec,
-    FixpointStats* stats = nullptr);
-[[nodiscard]] BoundedModelSet constructible_version_quotient(
-    const MemoryModel& model, const UniverseSpec& spec,
-    const FixpointOptions& options, FixpointStats* stats = nullptr);
+    const FixpointOptions& options = {}, FixpointStats* stats = nullptr);
 
 /// Pool-parallel variant of the quotient fixpoint (parallel restriction
 /// and resolution; kills apply serially).
 [[nodiscard]] BoundedModelSet constructible_version_quotient_parallel(
     const MemoryModel& model, const UniverseSpec& spec, ThreadPool& pool,
-    FixpointStats* stats = nullptr);
-[[nodiscard]] BoundedModelSet constructible_version_quotient_parallel(
-    const MemoryModel& model, const UniverseSpec& spec, ThreadPool& pool,
-    const FixpointOptions& options, FixpointStats* stats = nullptr);
+    const FixpointOptions& options = {}, FixpointStats* stats = nullptr);
 
 /// Compare a fixpoint result with a reference model, per size class:
 /// returns for each n ≤ max_nodes the pair (live in fixpoint, member of

@@ -74,13 +74,11 @@ std::uint32_t cached_classification(const Computation& c,
                                     const SuiteOptions& opt) {
   if (c.node_count() > kCacheNodeCap || phi.node_count() != c.node_count())
     return ModelSuite::classify(c, phi, opt);
-  // short_circuit is answer-preserving (pinned by tests/test_prepared),
-  // so it is deliberately NOT part of the key; the budget and include
-  // flags change which bits can be set and are.
+  // The budget and the include flag change which bits can be set.
   const std::string prefix =
-      format("suite\x1e%llu,%d,%d\x1e",
+      format("suite\x1e%llu,%d\x1e",
              static_cast<unsigned long long>(opt.sc_budget),
-             opt.include_sc ? 1 : 0, opt.include_plus ? 1 : 0);
+             opt.include_plus ? 1 : 0);
   const std::string& key = orbit_key(prefix, c, phi);
   if (const auto hit = classification_cache().lookup(key)) return *hit;
   const std::uint32_t mask = ModelSuite::classify(c, phi, opt);

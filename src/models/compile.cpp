@@ -1,7 +1,8 @@
 #include "models/compile.hpp"
 
 #include <algorithm>
-#include <bit>
+#include <array>
+#include <optional>
 
 #include "util/check.hpp"
 
@@ -36,76 +37,73 @@ int cube_constraints(CubeSpec q) {
   return (q.u_writes ? 1 : 0) + (q.v_writes ? 1 : 0) + (q.w_writes ? 1 : 0);
 }
 
+enum class Outcome : std::uint8_t { kUnknown, kPass, kFail, kExhausted };
+
+Outcome search_outcome(SearchStatus s) {
+  if (s == SearchStatus::kYes) return Outcome::kPass;
+  return s == SearchStatus::kExhausted ? Outcome::kExhausted : Outcome::kFail;
+}
+
+/// The one evaluator: run a single check on a valid pair.
+Outcome run_check(const ModelCheck& k, const PreparedPair& p,
+                  std::size_t budget) {
+  const auto pass = [](bool ok) {
+    return ok ? Outcome::kPass : Outcome::kFail;
+  };
+  ScOptions opt;
+  opt.budget = budget;
+  switch (k.kind) {
+    case ModelCheck::Kind::kCorner:
+      return pass(qdag_consistent_prepared(p, *named_corner(k.cube)));
+    case ModelCheck::Kind::kFresh:
+      return pass(observer_is_fresh_prepared(p));
+    case ModelCheck::Kind::kCube:
+      return pass(cube_consistent_prepared(p, k.cube));
+    case ModelCheck::Kind::kPerLocation:
+      return pass(location_consistent_prepared(p));
+    case ModelCheck::Kind::kGlobal:
+      // The plan's kPerLocation check ran first: it is the prefilter.
+      opt.lc_prefilter = false;
+      return search_outcome(sc_check_prepared(p, opt).status);
+    case ModelCheck::Kind::kScope:
+      return search_outcome(
+          serialization_check(p.computation(), p.observer(), k.scope, opt)
+              .status);
+  }
+  return Outcome::kFail;
+}
+
 }  // namespace
 
-CompiledModel::CompiledModel(ModelSpec spec, const CompileOptions& options)
-    : spec_(std::move(spec)), options_(options) {
+CompiledModel::CompiledModel(ModelSpec spec) : spec_(std::move(spec)) {
   spec_.normalize();
-  for (const CubeSpec& q : spec_.axioms) {
-    if (const auto pred = named_corner(q))
-      named_.push_back(*pred);
-    else
-      cubic_.push_back(q);
-  }
+  using Kind = ModelCheck::Kind;
+  checks_.reserve(spec_.axioms.size() + spec_.scopes.size() + 3);
+  for (const CubeSpec& q : spec_.axioms)
+    if (named_corner(q)) checks_.push_back({Kind::kCorner, q, {}});
+  if (spec_.freshness) checks_.push_back({Kind::kFresh, {}, {}});
+  for (const CubeSpec& q : spec_.axioms)
+    if (!named_corner(q)) checks_.push_back({Kind::kCube, q, {}});
+  if (spec_.order != OrderAxiom::kNone)
+    checks_.push_back({Kind::kPerLocation, {}, {}});
+  if (spec_.order == OrderAxiom::kGlobal)
+    checks_.push_back({Kind::kGlobal, {}, {}});
+  for (const ScopeSpec& s : spec_.scopes)
+    checks_.push_back({Kind::kScope, {}, s.locations});
 }
 
 std::string CompiledModel::cache_tag() const {
   return "spec\x1d" + spec_.digest();
 }
 
-CompiledVerdict CompiledModel::check_prepared(const PreparedPair& p) const {
+CompiledVerdict CompiledModel::check_prepared(const PreparedPair& p,
+                                              std::size_t budget) const {
   CompiledVerdict v;
   if (!p.valid()) return v;
-  // Cheapest first: the named 64-writer mask scans, the linear
-  // freshness shadow, the cubic corners, then the order axioms with
-  // the budgeted searches last.
-  for (const DagPred pred : named_)
-    if (!qdag_consistent_prepared(p, pred)) return v;
-  if (spec_.freshness && !observer_is_fresh_prepared(p)) return v;
-  for (const CubeSpec& q : cubic_)
-    if (!cube_consistent_prepared(p, q)) return v;
-
-  switch (spec_.order) {
-    case OrderAxiom::kNone:
-      break;
-    case OrderAxiom::kPerLocation:
-      if (!location_consistent_prepared(p)) return v;
-      break;
-    case OrderAxiom::kGlobal: {
-      ScOptions opt;
-      opt.budget = options_.sc_budget;
-      const ScResult r = sc_check_prepared(p, opt);
-      if (r.status == SearchStatus::kExhausted) {
-        v.exhausted = true;
-        return v;
-      }
-      if (r.status != SearchStatus::kYes) return v;
-      break;
-    }
-    case OrderAxiom::kScoped: {
-      const Computation& c = p.computation();
-      const ObserverFunction& phi = p.observer();
-      // Locations outside every scope are singleton scopes: plain LC.
-      for (const Location l : phi.active_locations()) {
-        const bool covered = std::any_of(
-            spec_.scopes.begin(), spec_.scopes.end(), [&](const ScopeSpec& s) {
-              return std::binary_search(s.locations.begin(), s.locations.end(),
-                                        l);
-            });
-        if (!covered && !location_consistent_at(c, phi, l)) return v;
-      }
-      ScOptions opt;
-      opt.budget = options_.sc_budget;
-      for (const ScopeSpec& s : spec_.scopes) {
-        const ScResult r = serialization_check(c, phi, s.locations, opt);
-        if (r.status == SearchStatus::kExhausted) {
-          v.exhausted = true;
-          return v;
-        }
-        if (r.status != SearchStatus::kYes) return v;
-      }
-      break;
-    }
+  for (const ModelCheck& k : checks_) {
+    const Outcome o = run_check(k, p, budget);
+    if (o == Outcome::kExhausted) v.exhausted = true;
+    if (o != Outcome::kPass) return v;
   }
   v.member = true;
   return v;
@@ -123,27 +121,23 @@ bool CompiledModel::for_each_member_observer(
   // Drive with the strongest named corner's prefix-pruned enumerator:
   // its member set is the tightest superset of ours we can enumerate
   // without generate-and-test.
-  const DagPred* best = nullptr;
+  std::optional<DagPred> best;
   int best_constraints = 4;
-  for (const DagPred& pred : named_) {
-    const int k = cube_constraints(
-        CubeSpec{pred == DagPred::kWN || pred == DagPred::kWW,
-                 pred == DagPred::kNW || pred == DagPred::kWW, false});
-    if (k < best_constraints) {
-      best_constraints = k;
-      best = &pred;
+  for (const ModelCheck& k : checks_) {
+    if (k.kind != ModelCheck::Kind::kCorner) continue;
+    if (const int n = cube_constraints(k.cube); n < best_constraints) {
+      best_constraints = n;
+      best = named_corner(k.cube);
     }
   }
-  if (best == nullptr) return MemoryModel::for_each_member_observer(c, visit);
+  if (!best) return MemoryModel::for_each_member_observer(c, visit);
 
   const std::shared_ptr<const QDagModel> base =
       *best == DagPred::kNN   ? QDagModel::nn()
       : *best == DagPred::kNW ? QDagModel::nw()
       : *best == DagPred::kWN ? QDagModel::wn()
                               : QDagModel::ww();
-  const bool pure = named_.size() == 1 && cubic_.empty() && !spec_.freshness &&
-                    spec_.order == OrderAxiom::kNone;
-  if (pure) return base->for_each_member_observer(c, visit);
+  if (checks_.size() == 1) return base->for_each_member_observer(c, visit);
   // IntersectionModel's pattern: enumerate the corner, filter by the
   // full plan (the corner re-check inside contains is redundant but
   // keeps the filter trivially correct).
@@ -154,34 +148,35 @@ bool CompiledModel::for_each_member_observer(
 
 CompiledModel::StreamingPlan CompiledModel::streaming_plan() const {
   StreamingPlan plan;
-  for (const DagPred pred : named_) plan.mask |= corner_suite_bit(pred);
-  if (spec_.freshness) plan.mask |= kSuiteFresh;
-  if (!cubic_.empty()) plan.streamable = false;
-  switch (spec_.order) {
-    case OrderAxiom::kNone:
-      break;
-    case OrderAxiom::kPerLocation:
-      plan.mask |= kSuiteLC;
-      break;
-    case OrderAxiom::kScoped:
-      // Uncovered locations are per-location checks, answered by the
-      // LC bit's per-location verdicts; the scopes need searches.
-      plan.mask |= kSuiteLC;
-      plan.scoped = true;
-      break;
-    case OrderAxiom::kGlobal:
-      // LC is SC's complete rejection prefilter and is mask-decidable;
-      // the search only runs on LC-consistent survivors.
-      plan.mask |= kSuiteLC;
-      plan.global = true;
-      break;
+  for (const ModelCheck& k : checks_) {
+    switch (k.kind) {
+      case ModelCheck::Kind::kCorner:
+        plan.mask |= corner_suite_bit(*named_corner(k.cube));
+        break;
+      case ModelCheck::Kind::kFresh:
+        plan.mask |= kSuiteFresh;
+        break;
+      case ModelCheck::Kind::kCube:
+        plan.streamable = false;
+        break;
+      case ModelCheck::Kind::kPerLocation:
+        // Also the per-location part of scoped order and SC's complete
+        // rejection prefilter: the searches run only on LC survivors.
+        plan.mask |= kSuiteLC;
+        break;
+      case ModelCheck::Kind::kGlobal:
+        plan.global = true;
+        break;
+      case ModelCheck::Kind::kScope:
+        plan.scoped = true;
+        break;
+    }
   }
   return plan;
 }
 
-std::shared_ptr<const CompiledModel> compile_model(
-    ModelSpec spec, const CompileOptions& options) {
-  return std::make_shared<const CompiledModel>(std::move(spec), options);
+std::shared_ptr<const CompiledModel> compile_model(ModelSpec spec) {
+  return std::make_shared<const CompiledModel>(std::move(spec));
 }
 
 const ModelRegistry& ModelRegistry::bundled() {
@@ -194,20 +189,29 @@ const ModelRegistry& ModelRegistry::bundled() {
   return registry;
 }
 
-std::size_t ModelRegistry::add(ModelSpec spec, const CompileOptions& options) {
+std::size_t ModelRegistry::add(ModelSpec spec) {
   spec.normalize();
-  const auto model = compile_model(spec, options);
-  for (std::size_t i = 0; i < entries_.size(); ++i) {
-    if (entries_[i].spec.name == spec.name) {
-      entries_[i] = Entry{std::move(spec), model};
-      derive();
-      return i;
-    }
+  auto model = compile_model(spec);
+  // Merge the new plan into the shared table. A replaced entry's checks
+  // stay in the table; no plan refers to them, so they never run.
+  std::vector<std::uint32_t> plan;
+  plan.reserve(model->checks().size());
+  for (const ModelCheck& k : model->checks()) {
+    const auto it = std::find(checks_.begin(), checks_.end(), k);
+    plan.push_back(static_cast<std::uint32_t>(it - checks_.begin()));
+    if (it == checks_.end()) checks_.push_back(k);
   }
-  CCMM_CHECK(entries_.size() < 64, "registry holds at most 64 models");
-  entries_.push_back(Entry{std::move(spec), model});
-  derive();
-  return entries_.size() - 1;
+  std::size_t i = 0;
+  while (i < entries_.size() && entries_[i].spec.name != spec.name) ++i;
+  if (i == entries_.size()) {
+    CCMM_CHECK(i < 64, "registry holds at most 64 models");
+    entries_.emplace_back();
+    plans_.emplace_back();
+  }
+  entries_[i] = Entry{std::move(spec), std::move(model)};
+  plans_[i] = std::move(plan);
+  derive(i);
+  return i;
 }
 
 const ModelRegistry::Entry* ModelRegistry::find(std::string_view name) const {
@@ -216,31 +220,35 @@ const ModelRegistry::Entry* ModelRegistry::find(std::string_view name) const {
   return nullptr;
 }
 
-void ModelRegistry::derive() {
+void ModelRegistry::derive(std::size_t k) {
+  // Only row and column k change: the other specs are as they were.
   const std::size_t n = entries_.size();
-  implies_.assign(n, 0);
-  for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t j = 0; j < n; ++j)
-      if (spec_implies(entries_[i].spec, entries_[j].spec))
-        implies_[i] |= std::uint64_t{1} << j;
+  const std::uint64_t bit_k = std::uint64_t{1} << k;
+  implies_[k] = implied_by_[k] = 0;
+  for (std::size_t j = 0; j < n; ++j) {
+    const std::uint64_t bit_j = std::uint64_t{1} << j;
+    implies_[j] &= ~bit_k;
+    implied_by_[j] &= ~bit_k;
+    if (spec_implies(entries_[k].spec, entries_[j].spec)) {
+      implies_[k] |= bit_j;
+      implied_by_[j] |= bit_k;
+    }
+    if (spec_implies(entries_[j].spec, entries_[k].spec)) {
+      implies_[j] |= bit_k;
+      implied_by_[k] |= bit_j;
+    }
+  }
 
   // Weakest-first topological order over *strict* implications (equal
   // specs — e.g. COH and LC — imply each other; ties break by index).
   eval_order_.clear();
-  std::vector<bool> placed(n, false);
-  const auto strict_weaker_unplaced = [&](std::size_t i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      const bool i_to_j = (implies_[i] >> j) & 1;
-      const bool j_to_i = (implies_[j] >> i) & 1;
-      if (i != j && i_to_j && !j_to_i && !placed[j]) return true;
-    }
-    return false;
-  };
+  std::uint64_t placed = 0;
   for (std::size_t round = 0; round < n; ++round) {
     for (std::size_t i = 0; i < n; ++i) {
-      if (placed[i] || strict_weaker_unplaced(i)) continue;
+      const std::uint64_t strictly_weaker = implies_[i] & ~implied_by_[i];
+      if ((placed >> i & 1) != 0 || (strictly_weaker & ~placed) != 0) continue;
       eval_order_.push_back(i);
-      placed[i] = true;
+      placed |= std::uint64_t{1} << i;
       break;
     }
   }
@@ -252,6 +260,15 @@ std::uint64_t ModelRegistry::classify(const PreparedPair& p,
                                       bool* exhausted) const {
   if (exhausted != nullptr) *exhausted = false;
   if (!p.valid()) return 0;  // every spec model rejects invalid observers
+  // Per-call memo of check outcomes, on the stack so concurrent
+  // classifications can share one const registry.
+  std::array<Outcome, 64> small{};
+  std::vector<Outcome> large;
+  Outcome* memo = small.data();
+  if (checks_.size() > small.size()) {
+    large.assign(checks_.size(), Outcome::kUnknown);
+    memo = large.data();
+  }
   std::uint64_t member = 0;
   std::uint64_t known = 0;  // decided without budget exhaustion
   for (const std::size_t i : eval_order_) {
@@ -263,32 +280,24 @@ std::uint64_t ModelRegistry::classify(const PreparedPair& p,
         continue;
       }
       // Acceptance propagates down: j ⊆ i and p ∈ j ⇒ p ∈ i.
-      bool accepted = false;
-      for (std::size_t j = 0; j < entries_.size() && !accepted; ++j)
-        accepted = ((known & member) >> j & 1) != 0 &&
-                   ((implies_[j] >> i) & 1) != 0;
-      if (accepted) {
+      if ((implied_by_[i] & known & member) != 0) {
         member |= self;
         known |= self;
         continue;
       }
     }
-    CompileOptions copt;
-    copt.sc_budget = options.sc_budget;
-    // Re-budget only when the entry's own budget differs: the compiled
-    // plan is stateless, so a throwaway twin is cheap and keeps the
-    // registry const.
-    const CompiledModel& m = *entries_[i].model;
-    const CompiledVerdict v =
-        m.options().sc_budget == options.sc_budget
-            ? m.check_prepared(p)
-            : CompiledModel(entries_[i].spec, copt).check_prepared(p);
-    if (v.exhausted) {
+    Outcome v = Outcome::kPass;
+    for (const std::uint32_t k : plans_[i]) {
+      if (memo[k] == Outcome::kUnknown)
+        memo[k] = run_check(checks_[k], p, options.sc_budget);
+      if ((v = memo[k]) != Outcome::kPass) break;
+    }
+    if (v == Outcome::kExhausted) {
       if (exhausted != nullptr) *exhausted = true;
       continue;  // unknown: neither member nor usable for pruning
     }
     known |= self;
-    if (v.member) member |= self;
+    if (v == Outcome::kPass) member |= self;
   }
   return member;
 }

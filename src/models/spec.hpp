@@ -35,9 +35,9 @@
 //
 // spec_implies gives the *derived lattice*: a sound syntactic
 // implication test between specs (a ⇒ b means compiled(a) ⊆
-// compiled(b)). The registry's classify short-circuiting and
-// ModelSuite's hardcoded gates are both instances of these rules
-// (tests pin the agreement).
+// compiled(b)). The registry's classify short-circuiting — and so
+// ModelSuite's, which is a registry of the built-ins — follows these
+// rules (tests pin them against Theorem 21).
 #pragma once
 
 #include <cstdint>

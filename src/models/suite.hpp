@@ -2,24 +2,19 @@
 //
 // ModelSuite: classify one prepared (C, Φ) pair against the built-in
 // model family in a single call, returning a membership bitmask instead
-// of running eight independent contains() calls. The strength lattice
-// (Theorem 21 and SC ⊆ LC ⊆ NN ⊆ NW, WN ⊆ WW; NN⁺ ⊆ NN, WN⁺ ⊆ WN)
-// licenses short-circuiting: a pair outside WW is outside everything,
-// NN need only run when both NW and WN admitted the pair, LC only when
-// NN did, and the NP-hard SC search only when the linear LC test passed
-// (exactly the prefilter ScOptions already exploits — the suite then
-// disables the redundant in-search LC re-check). Pruning is
-// answer-preserving; tests/test_prepared pins the ablation.
+// of running eight independent contains() calls.
 //
-// Since the model-compiler refactor the eight built-ins are *bundled
-// specs* (models/spec.hpp): every gate hardcoded below is an instance
-// of the derived implication lattice spec_implies computes between
-// builtin_model_specs() (tests/test_compile pins gate-by-gate
-// agreement). ModelSuite survives as the compiler-verified fused
-// specialization of ModelRegistry::classify (models/compile.hpp) for
-// exactly this model set — same bits, no per-entry dispatch — which is
-// what the BM_ClassifyAllSix benchmarks gate in CI. Arbitrary spec
-// sets, including user packs, classify through the registry instead.
+// The eight built-ins are bundled specs (models/spec.hpp), and the
+// suite is a ModelRegistry (models/compile.hpp) holding them in SuiteBit
+// order, so registry bit i is suite bit i. The registry's derived
+// implication lattice (Theorem 21: SC ⊆ LC ⊆ NN ⊆ NW, WN ⊆ WW; NN⁺ ⊆
+// NN, WN⁺ ⊆ WN) does the short-circuiting: a pair outside WW is outside
+// everything, NN runs only when NW and WN admitted the pair, LC only
+// when NN did, and the NP-hard SC search only after the LC check
+// passed. Shared checks run once: WN⁺ reuses WN's scan, NN⁺ reuses NN's
+// and WN⁺'s freshness test, and the SC search reuses the LC verdict as
+// its prefilter. tests/test_prepared pins the bits against independent
+// legacy calls.
 #pragma once
 
 #include <cstdint>
@@ -49,10 +44,6 @@ enum SuiteBit : std::uint32_t {
 struct SuiteOptions {
   /// Budget for the SC backtracking search (states expanded).
   std::size_t sc_budget = SIZE_MAX;
-  /// Lattice pruning; off = run every checker independently (ablation).
-  bool short_circuit = true;
-  /// Run the NP-hard SC membership search at all.
-  bool include_sc = true;
   /// Classify the freshness-strengthened WN⁺/NN⁺ as well.
   bool include_plus = true;
 };

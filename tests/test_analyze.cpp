@@ -299,6 +299,34 @@ TEST(Anomaly, UnobservedWriteWriteRaceLeavesModelsAgreeing) {
   EXPECT_FALSE(split->truncated);
 }
 
+TEST(Anomaly, SearchBudgetBoundsCompiledExtras) {
+  // The SC spec compiled as an extra model must run under the same
+  // search budget as the built-in SC: with a budget of one state both
+  // exhaust on the same observers, so they land in one behaviour class
+  // (an extra searching without bound would accept what SC could not).
+  ComputationBuilder b;
+  b.write(0);
+  b.write(0);
+  const Computation c = std::move(b).build();
+  const auto races = find_races_pairwise(c);
+  ASSERT_EQ(races.size(), 1u);
+  ModelSpec sc = builtin_model_specs()[0];
+  sc.name = "SC-spec";
+  analyze::AnomalyOptions opt;
+  opt.sc_budget = 1;
+  opt.extra_models.push_back(compile_model(sc));
+  const auto split = analyze::classify_race(c, races[0], opt);
+  ASSERT_TRUE(split.has_value());
+  EXPECT_TRUE(split->truncated);
+  const auto same_class = std::find_if(
+      split->classes.begin(), split->classes.end(), [](const auto& names) {
+        return std::find(names.begin(), names.end(), "SC") != names.end();
+      });
+  ASSERT_NE(same_class, split->classes.end());
+  EXPECT_NE(std::find(same_class->begin(), same_class->end(), "SC-spec"),
+            same_class->end());
+}
+
 TEST(Anomaly, Figure2RaceSplitsTheHierarchy) {
   // Figure 2's computation is racy, and its anomalies are exactly what
   // separate the dag models: some race's witness must split them.

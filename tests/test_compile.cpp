@@ -2,11 +2,11 @@
 //  * every compiled built-in answers byte-identically to its hand-fused
 //    original — contains_prepared AND the pruned member-observer
 //    enumeration — over exhaustive small universes;
-//  * ModelRegistry::classify over the bundled registry equals the
-//    per-model membership sweep, with the derived-lattice
-//    short-circuiting ON and OFF (the ablation), and its low eight bits
-//    equal ModelSuite::classify (the hardcoded Theorem 21 gates are a
-//    special case of the derived ones);
+//  * ModelRegistry::classify over the bundled registry (whose entries
+//    share checks: TSO and WN⁺ the WN scan and freshness, PC2 and SC the
+//    LC check) equals the per-model membership sweep, with the
+//    derived-lattice short-circuiting ON and OFF (the ablation), and
+//    its low eight bits equal ModelSuite::classify;
 //  * spec-pack clients: COH is extensionally LC (and shares its cache
 //    tag), PC2 sits strictly between SC and LC on the paper's examples;
 //  * budget exhaustion surfaces in check_prepared / classify instead of
@@ -161,6 +161,28 @@ TEST(Compile, RegistryClassifyMatchesSuiteTwoLocations) {
   sweep_registry(spec);
 }
 
+TEST(Compile, RegistryMemoOutgrowsItsInlineBuffer) {
+  // 40 partition specs with two scopes each: 80 distinct scope checks
+  // plus the shared LC check, more than the per-call memo keeps inline.
+  ModelRegistry reg;
+  for (Location i = 0; i < 40; ++i)
+    reg.add(partition_spec("P" + std::to_string(i),
+                           {{{i, i + 40}}, {{i + 80, i + 120}}}));
+  RegistryOptions unpruned;
+  unpruned.short_circuit = false;
+  CheckContext ctx;
+  for (const test::ExamplePair& ex :
+       {test::figure2_pair(), test::figure3_pair(), test::lc_not_sc_pair()}) {
+    const PreparedPair p = ctx.prepare(ex.c, ex.phi);
+    std::uint64_t want = 0;
+    for (std::size_t i = 0; i < reg.entries().size(); ++i)
+      if (reg.entries()[i].model->check_prepared(p).member)
+        want |= std::uint64_t{1} << i;
+    EXPECT_EQ(reg.classify(p), want) << ex.name;
+    EXPECT_EQ(reg.classify(p, unpruned), want) << ex.name;
+  }
+}
+
 TEST(Compile, PackClientsOnPaperExamples) {
   // PC2's scopes cover locations the figure examples may not use;
   // uncovered locations degrade to per-location order, so on the
@@ -210,21 +232,18 @@ TEST(Compile, BudgetExhaustionIsReportedNotGuessed) {
   CheckContext ctx;
   const PreparedPair p = ctx.prepare(c, phi);
 
-  CompileOptions tight;
-  tight.sc_budget = 1;
-  const auto sc = compile_model(builtin_model_specs()[0], tight);
-  const CompiledVerdict v = sc->check_prepared(p);
+  const auto sc = compile_model(builtin_model_specs()[0]);
+  const CompiledVerdict v = sc->check_prepared(p, 1);
   EXPECT_FALSE(v.member);
   EXPECT_TRUE(v.exhausted);
 
   // With the default budget the same pair is decided a member.
-  const auto sc_full = compile_model(builtin_model_specs()[0]);
-  const CompiledVerdict ok = sc_full->check_prepared(p);
+  const CompiledVerdict ok = sc->check_prepared(p);
   EXPECT_TRUE(ok.member);
   EXPECT_FALSE(ok.exhausted);
 
-  // The registry surfaces the exhaustion flag the same way (classify
-  // re-budgets from RegistryOptions, so the knob travels there).
+  // The registry surfaces the exhaustion flag the same way (the budget
+  // travels per call in RegistryOptions).
   ModelRegistry reg;
   reg.add(builtin_model_specs()[0]);
   RegistryOptions ropt;

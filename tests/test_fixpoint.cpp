@@ -56,7 +56,7 @@ TEST(Fixpoint, Theorem23_NNStarCollapsesToLC) {
   const auto spec = thin_spec(5);
   FixpointStats stats;
   const BoundedModelSet nn_star =
-      constructible_version(*QDagModel::nn(), spec, &stats);
+      constructible_version(*QDagModel::nn(), spec, {}, &stats);
   EXPECT_GT(stats.pruned, 0u);  // NN \ LC pairs exist at size 4 and die
   EXPECT_LT(stats.final_pairs, stats.initial_pairs);
 
@@ -89,7 +89,7 @@ TEST(Fixpoint, ConstructibleModelIsItsOwnFixpoint) {
   const auto spec = thin_spec(4);
   FixpointStats stats;
   const BoundedModelSet lc_star = constructible_version(
-      *LocationConsistencyModel::instance(), spec, &stats);
+      *LocationConsistencyModel::instance(), spec, {}, &stats);
   EXPECT_EQ(stats.pruned, 0u);
   EXPECT_EQ(stats.initial_pairs, stats.final_pairs);
   const auto cmp =
@@ -146,7 +146,7 @@ TEST(Fixpoint, ParallelJacobiMatchesSequential) {
   const BoundedModelSet seq = constructible_version(*QDagModel::nn(), spec);
   FixpointStats pstats;
   const BoundedModelSet par =
-      constructible_version_parallel(*QDagModel::nn(), spec, pool, &pstats);
+      constructible_version_parallel(*QDagModel::nn(), spec, pool, {}, &pstats);
   EXPECT_EQ(seq.live_count(), par.live_count());
   for (std::size_t n = 0; n <= spec.max_nodes; ++n)
     EXPECT_EQ(seq.live_count_at_size(n), par.live_count_at_size(n)) << n;
@@ -161,7 +161,7 @@ TEST(Fixpoint, ParallelJacobiMatchesSequential) {
 TEST(Fixpoint, StatsRoundsAreReported) {
   const auto spec = thin_spec(3);
   FixpointStats stats;
-  (void)constructible_version(*QDagModel::nn(), spec, &stats);
+  (void)constructible_version(*QDagModel::nn(), spec, {}, &stats);
   EXPECT_GE(stats.rounds, 1u);
 }
 
@@ -191,9 +191,9 @@ TEST(Fixpoint, QuotientMatchesLabeledByteForByte) {
   for (const UniverseSpec& spec : {thin_spec(3), thin_spec(4)}) {
     FixpointStats lstats, qstats;
     const BoundedModelSet labeled =
-        constructible_version(*QDagModel::nn(), spec, &lstats);
+        constructible_version(*QDagModel::nn(), spec, {}, &lstats);
     const BoundedModelSet quotient =
-        constructible_version_quotient(*QDagModel::nn(), spec, &qstats);
+        constructible_version_quotient(*QDagModel::nn(), spec, {}, &qstats);
     EXPECT_TRUE(quotient.quotient());
     EXPECT_EQ(lstats.initial_pairs, qstats.initial_pairs);
     EXPECT_EQ(lstats.final_pairs, qstats.final_pairs);
@@ -215,9 +215,9 @@ TEST(Fixpoint, QuotientMatchesLabeledWithWriteCapUnset) {
   spec.nlocations = 2;
   FixpointStats lstats, qstats;
   const BoundedModelSet labeled =
-      constructible_version(*QDagModel::nn(), spec, &lstats);
+      constructible_version(*QDagModel::nn(), spec, {}, &lstats);
   const BoundedModelSet quotient =
-      constructible_version_quotient(*QDagModel::nn(), spec, &qstats);
+      constructible_version_quotient(*QDagModel::nn(), spec, {}, &qstats);
   EXPECT_EQ(lstats.final_pairs, qstats.final_pairs);
   EXPECT_EQ(lstats.pruned, qstats.pruned);
   EXPECT_EQ(labeled_image(labeled, spec), labeled_image(quotient, spec));
@@ -228,9 +228,9 @@ TEST(Fixpoint, QuotientParallelMatchesSequentialQuotient) {
   ThreadPool pool(4);
   FixpointStats qstats, pstats;
   const BoundedModelSet seq =
-      constructible_version_quotient(*QDagModel::nn(), spec, &qstats);
+      constructible_version_quotient(*QDagModel::nn(), spec, {}, &qstats);
   const BoundedModelSet par =
-      constructible_version_quotient_parallel(*QDagModel::nn(), spec, pool,
+      constructible_version_quotient_parallel(*QDagModel::nn(), spec, pool, {},
                                               &pstats);
   EXPECT_EQ(qstats.final_pairs, pstats.final_pairs);
   EXPECT_EQ(labeled_image(seq, spec), labeled_image(par, spec));
@@ -262,9 +262,9 @@ TEST(Fixpoint, QuotientParallelTwoLocationStress) {
   ThreadPool pool(8);
   FixpointStats qstats, pstats;
   const BoundedModelSet seq =
-      constructible_version_quotient(*QDagModel::nn(), spec, &qstats);
+      constructible_version_quotient(*QDagModel::nn(), spec, {}, &qstats);
   const BoundedModelSet par =
-      constructible_version_quotient_parallel(*QDagModel::nn(), spec, pool,
+      constructible_version_quotient_parallel(*QDagModel::nn(), spec, pool, {},
                                               &pstats);
   EXPECT_EQ(qstats.final_pairs, pstats.final_pairs);
   EXPECT_EQ(labeled_image(seq, spec), labeled_image(par, spec));
@@ -416,7 +416,7 @@ TEST(Fixpoint, QuotientConstructibleModelIsItsOwnFixpoint) {
   const auto spec = thin_spec(4);
   FixpointStats stats;
   const BoundedModelSet lc_star = constructible_version_quotient(
-      *LocationConsistencyModel::instance(), spec, &stats);
+      *LocationConsistencyModel::instance(), spec, {}, &stats);
   EXPECT_EQ(stats.pruned, 0u);
   const auto cmp =
       compare_with_model(lc_star, *LocationConsistencyModel::instance());

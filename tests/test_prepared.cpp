@@ -2,8 +2,9 @@
 //  * contains_prepared answers exactly like the legacy contains() for
 //    every model (six core checkers, WN+/NN+, predicate and
 //    intersection wrappers) over exhaustive small universes;
-//  * ModelSuite::classify equals eight independent membership calls,
-//    with lattice short-circuiting ON and OFF (the ablation);
+//  * ModelSuite::classify equals eight independent membership calls
+//    (its pruning is the registry's, whose ablation tests/test_compile
+//    runs);
 //  * the PreparedPair block partition indexes Φ⁻¹ correctly, and
 //    cached_classification memoizes the suite bitmask per orbit.
 #include "core/prepared.hpp"
@@ -170,22 +171,16 @@ std::uint32_t classify_by_calls(const Computation& c,
   return mask;
 }
 
-TEST(ModelSuiteClassify, EqualsIndependentCallsAndAblation) {
+TEST(ModelSuiteClassify, EqualsIndependentCalls) {
   UniverseSpec spec;
   spec.max_nodes = 4;
   spec.nlocations = 1;
   spec.include_nop = false;
   CheckContext ctx;
-  SuiteOptions pruned;  // defaults: short_circuit on
-  SuiteOptions ablated;
-  ablated.short_circuit = false;
   for_each_pair(spec, [&](const Computation& c, const ObserverFunction& phi) {
     const std::uint32_t expect = classify_by_calls(c, phi);
     const PreparedPair p = ctx.prepare(c, phi);
-    EXPECT_EQ(ModelSuite::classify(p, pruned), expect)
-        << c.to_string() << phi.to_string();
-    EXPECT_EQ(ModelSuite::classify(p, ablated), expect)
-        << "ablation diverges on:\n"
+    EXPECT_EQ(ModelSuite::classify(p), expect)
         << c.to_string() << phi.to_string();
     EXPECT_EQ(ModelSuite::classify(c, phi), expect);  // convenience overload
     return true;
@@ -196,9 +191,6 @@ TEST(ModelSuiteClassify, RespectsIncludeFlags) {
   const auto ex = test::lc_not_sc_pair();
   CheckContext ctx;
   const PreparedPair p = ctx.prepare(ex.c, ex.phi);
-  SuiteOptions no_sc;
-  no_sc.include_sc = false;
-  EXPECT_EQ(ModelSuite::classify(p, no_sc) & kSuiteSC, 0u);
   SuiteOptions no_plus;
   no_plus.include_plus = false;
   EXPECT_EQ(ModelSuite::classify(p, no_plus) & (kSuiteWNPlus | kSuiteNNPlus),

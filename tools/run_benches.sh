@@ -50,12 +50,13 @@ done
 if [[ $mode == quick ]]; then
   min_time=0.01
   # Negative filter: drop the minute-scale args, keep everything else.
-  # The /1048576 trace runs and the 16384-node closure build are
+  # The /1048576 trace and serve runs (serve rows carry google-benchmark's
+  # /real_time suffix) and the 16384-node closure build are
   # second-scale per iteration; the 16384 streaming run stays in so the
   # BM_LargeCheckLC/16384 gate still binds on CI. The /16777216 data
   # plane runs (and their 500 MB text twin) are full-mode only, and the
   # /134217728 postmortem is nightly-only.
-  filter='-(.*/6$|.*/10000$|.*/1048576$|.*/16777216$|.*/134217728$|BM_VerifyClosureLC/16384$|BM_FixpointParallel.*)'
+  filter='-(.*/6$|.*/10000$|.*/1048576(/real_time)?$|.*/16777216$|.*/134217728$|BM_VerifyClosureLC/16384$|BM_FixpointParallel.*)'
 fi
 
 if [[ $mode == nightly ]]; then
