@@ -1,8 +1,9 @@
 // Microbenchmarks for the large-trace postmortem pipeline: precedence
-// oracle construction and point queries, and the streaming per-location
-// checker against the closure-based prepared path. The headline pair is
-// BM_VerifyClosureLC vs BM_LargeCheckLC at the largest closure-feasible
-// size; BM_LargeCheckLC/1048576 is the million-node target the closure
+// oracle construction and point queries, the streaming per-location
+// checker against the closure-based prepared path, and the input layers
+// that feed it (instance text, text and binary traces). The headline
+// pair is BM_VerifyClosureLC vs BM_LargeCheckLC at the largest
+// closure-feasible size; BM_LargeCheckLC/1048576 is the million-node target the closure
 // path cannot reach at all (the n²/4-byte bitsets alone would be 256GB
 // of scans per check).
 #include <benchmark/benchmark.h>
@@ -14,6 +15,7 @@
 #include "core/prepared.hpp"
 #include "dag/precedence_oracle.hpp"
 #include "exec/sc_memory.hpp"
+#include "io/text.hpp"
 #include "models/location_consistency.hpp"
 #include "proc/random_program.hpp"
 #include "trace/large_check.hpp"
@@ -242,6 +244,25 @@ void BM_TraceReadText(benchmark::State& state) {
                           static_cast<std::int64_t>(in.trace.events.size()));
 }
 BENCHMARK(BM_TraceReadText)->Arg(65536)->Arg(1 << 20)
+    ->Unit(benchmark::kMillisecond);
+
+/// The instance front end: io::read_computation on an in-memory text
+/// image, the in-place parse ccmm_serve runs on every kOpen payload (the
+/// computation's text rides in the frame). The image includes the
+/// strand lines, so the SP parse is rebuilt too.
+void BM_ReadComputation(benchmark::State& state) {
+  const TraceInstance in =
+      make_trace_instance(static_cast<std::size_t>(state.range(0)));
+  const std::string text = io::write_computation(in.c);
+  for (auto _ : state) {
+    const Computation c = io::read_computation(std::string_view(text));
+    benchmark::DoNotOptimize(c.node_count());
+  }
+  state.counters["file_bytes"] = static_cast<double>(text.size());
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(in.c.node_count()));
+}
+BENCHMARK(BM_ReadComputation)->Arg(65536)->Arg(1 << 20)
     ->Unit(benchmark::kMillisecond);
 
 void BM_TraceReadBinary(benchmark::State& state) {

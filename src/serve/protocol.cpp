@@ -59,11 +59,13 @@ class Reader {
 
   double f64() { return std::bit_cast<double>(u64()); }
 
-  std::string str() {
+  std::string str() { return std::string(view()); }
+
+  /// A length-prefixed string as a view into the payload.
+  std::string_view view() {
     const std::uint64_t k = u64();
     const unsigned char* b = take(k);
-    return std::string(reinterpret_cast<const char*>(b),
-                       static_cast<std::size_t>(k));
+    return {reinterpret_cast<const char*>(b), static_cast<std::size_t>(k)};
   }
 
   const unsigned char* take(std::uint64_t k) {
@@ -190,11 +192,11 @@ std::string encode_open(const OpenRequest& req) {
   return out;
 }
 
-OpenRequest decode_open(const unsigned char* p, std::size_t size) {
+OpenView decode_open(const unsigned char* p, std::size_t size) {
   Reader r(p, size);
-  OpenRequest req;
+  OpenView req;
   req.options = get_options(r);
-  req.computation_text = r.str();
+  req.computation_text = r.view();
   r.expect_end();
   return req;
 }
@@ -345,7 +347,7 @@ SnapshotImage decode_snapshot(const unsigned char* p, std::size_t size) {
   // Snapshots only exist for retaining sessions; the restored session
   // must retain too or it could never be snapshotted again.
   img.options.retain_events = true;
-  img.computation_text = r.str();
+  img.computation_text = r.view();
   const std::uint64_t k = r.u64();
   // Every event is exactly 8+8+4+4+4+4 = 32 wire bytes.
   if (k > r.remaining() / 32)

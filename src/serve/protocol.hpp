@@ -47,6 +47,7 @@
 #include <cstring>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "trace/session_kernel.hpp"
@@ -133,9 +134,16 @@ struct OpenRequest {
   std::string computation_text;
 };
 
+/// A decoded kOpen payload. The text is a view into the payload bytes
+/// passed to decode_open, valid while they are: the server parses it in
+/// place (io::read_computation(std::string_view)) without a copy.
+struct OpenView {
+  SessionOptions options;
+  std::string_view computation_text;
+};
+
 [[nodiscard]] std::string encode_open(const OpenRequest& req);
-[[nodiscard]] OpenRequest decode_open(const unsigned char* p,
-                                      std::size_t size);
+[[nodiscard]] OpenView decode_open(const unsigned char* p, std::size_t size);
 
 [[nodiscard]] std::string encode_opened(std::uint64_t session,
                                         std::uint64_t nodes);
@@ -155,11 +163,12 @@ void decode_opened(const unsigned char* p, std::size_t size,
 
 /// Snapshot blob: options + computation text + the retained event log.
 /// Restoring replays the log through a fresh CheckSession, so the
-/// restored session's verdicts are byte-identical by construction.
+/// restored session's verdicts are byte-identical by construction. The
+/// decoded text is a view into the blob passed to decode_snapshot.
 [[nodiscard]] std::string encode_snapshot(const CheckSession& session);
 struct SnapshotImage {
   SessionOptions options;
-  std::string computation_text;
+  std::string_view computation_text;
   std::vector<BinaryTraceEvent> events;
 };
 [[nodiscard]] SnapshotImage decode_snapshot(const unsigned char* p,

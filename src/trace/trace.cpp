@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "util/str.hpp"
+#include "util/text_lines.hpp"
 
 namespace ccmm {
 
@@ -211,41 +212,43 @@ std::string write_trace(const Trace& trace) {
 
 Trace read_trace(std::istream& in, const Computation& c) {
   Trace trace;
-  std::string line;
-  std::size_t lineno = 0;
-  while (std::getline(in, line)) {
-    ++lineno;
-    const std::size_t first = line.find_first_not_of(" \t\r");
-    if (first == std::string::npos || line[first] == '#') continue;
-    std::istringstream row(line);
-    unsigned long long seq = 0;
-    unsigned long long time = 0;
-    unsigned proc = 0;
-    unsigned long long node = 0;
-    std::string observed;
-    if (!(row >> seq >> time >> proc >> node >> observed))
-      throw std::runtime_error(format(
-          "trace line %zu: expected `seq time proc node observed`", lineno));
+  TextLines lines(in);
+  for (;;) {
+    const std::vector<std::string_view>& t = lines.next();
+    if (t.empty()) break;
+    std::uint64_t seq = 0;
+    std::uint64_t time = 0;
+    std::uint64_t proc = 0;
+    std::uint64_t node = 0;
+    if (t.size() < 5 ||
+        parse_decimal(t[0], UINT64_MAX, seq) != DecimalError::kNone ||
+        parse_decimal(t[1], UINT64_MAX, time) != DecimalError::kNone ||
+        parse_decimal(t[2], UINT32_MAX, proc) != DecimalError::kNone ||
+        parse_decimal(t[3], UINT64_MAX, node) != DecimalError::kNone)
+      throw std::runtime_error(
+          format("trace line %zu: expected `seq time proc node observed`",
+                 lines.line()));
     if (node >= c.node_count())
       throw std::runtime_error(format(
           "trace line %zu: node %llu out of range (computation has %zu "
           "nodes)",
-          lineno, node, c.node_count()));
+          lines.line(), static_cast<unsigned long long>(node),
+          c.node_count()));
     TraceEvent e;
     e.seq = seq;
     e.time = time;
     e.proc = static_cast<ProcId>(proc);
     e.node = static_cast<NodeId>(node);
     e.op = c.op(e.node);
-    if (observed == "_") {
+    if (t[4] == "_") {
       e.observed = kBottom;
     } else {
-      char* end = nullptr;
-      const unsigned long long v = std::strtoull(observed.c_str(), &end, 10);
-      if (end == observed.c_str() || *end != '\0' || v >= c.node_count())
-        throw std::runtime_error(format(
-            "trace line %zu: bad observed node `%s`", lineno,
-            observed.c_str()));
+      std::uint64_t v = 0;
+      if (parse_decimal(t[4], UINT64_MAX, v) != DecimalError::kNone ||
+          v >= c.node_count())
+        throw std::runtime_error(
+            format("trace line %zu: bad observed node `%s`", lines.line(),
+                   std::string(t[4]).c_str()));
       e.observed = static_cast<NodeId>(v);
     }
     trace.events.push_back(e);

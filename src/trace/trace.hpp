@@ -33,9 +33,10 @@ void trace_to_stream(const Trace& trace, std::ostream& out,
 [[nodiscard]] std::string trace_to_string(const Trace& trace,
                                           std::size_t max_rows = 10000);
 
-/// Plain-text trace format: one `seq proc node observed` line per
-/// event (`_` for a ⊥ observation), `#` comments and blank lines
-/// ignored. Ops are not serialized — they are looked up in the
+/// Plain-text trace format: one `seq time proc node observed` line per
+/// event (`_` for a ⊥ observation; further columns are ignored), `#`
+/// comments (to the end of the line) and blank lines ignored. Lines go
+/// through the io/text tokenizer (util/text_lines.hpp). Ops are not serialized — they are looked up in the
 /// computation on read, which is also why reading needs `c`.
 /// read_trace throws std::runtime_error on malformed lines or node ids
 /// outside the computation.

@@ -651,6 +651,43 @@ TEST(Serve, ProtocolErrorPaths) {
   }
 }
 
+TEST(Serve, MalformedOpenTextIsAnErrorReplyNotACrash) {
+  const Workload w = make_workload(78, 600, kSuiteLC, 2);
+  TestServer ts;
+  serve::ServeClient live(ts.addr());
+  live.open(w.c);
+  const std::size_t half = w.recs.size() / 2;
+  live.feed(w.recs.data(), half);
+  live.flush();
+  // Each of these reached an assertion or a wild write on the shard's
+  // kernel thread; `nodes 0` then `op 0` took the whole daemon down.
+  for (const char* text :
+       {"computation\nnodes 0\nop 0 W 1\nend\n",
+        "computation\nnodes 2\nedge 1 1\nend\n",
+        "computation\nnodes 5\nedge 0 4\nnodes 2\nend\n"}) {
+    const net::Fd fd = net::connect_to(net::Addr::parse(ts.addr()));
+    serve::OpenRequest req;
+    req.computation_text = text;
+    const std::string payload = serve::encode_open(req);
+    serve::write_frame(fd.get(), serve::FrameType::kOpen, 0, payload.data(),
+                       payload.size());
+    serve::FrameHeader h;
+    std::vector<unsigned char> reply;
+    ASSERT_TRUE(serve::read_frame(fd.get(), h, reply, 1u << 20)) << text;
+    EXPECT_EQ(h.type, serve::FrameType::kError) << text;
+    const std::string msg(reply.begin(), reply.end());
+    EXPECT_NE(msg.find("ccmm text parse error, line"), std::string::npos)
+        << msg;
+  }
+  // The session opened before keeps serving, and new ones still open.
+  live.feed(w.recs.data() + half, w.recs.size() - half);
+  expect_reports_identical(live.finish(), w.batch, "after malformed opens");
+  serve::ServeClient fresh(ts.addr());
+  fresh.open(w.c);
+  fresh.feed(w.recs);
+  expect_reports_identical(fresh.finish(), w.batch, "fresh session");
+}
+
 TEST(Serve, StatusOverProtocolAndHttp) {
   const Workload w = make_workload(77, 400, kSuiteLC, 0);
   TestServer ts;
