@@ -19,8 +19,13 @@
 //     session operations are applied in arrival order.
 //   * The shard's kernel thread drains the channel and runs the
 //     CheckSession work. It is NUMA-pinned per plan_shard_placement(),
-//     and sessions are CONSTRUCTED on it, so the kernel's arenas are
-//     first-touched on the memory node that will scan them.
+//     and sessions are CONSTRUCTED on it. A session of 2^14 nodes or
+//     more splits its locations over several location shards, and each
+//     event batch fans out from the kernel thread to global_pool(): the
+//     kernel thread validates the batch, then fills columns and
+//     advances states alongside the pool's workers (help-first, so
+//     several kernel threads can share the pool). CCMM_THREADS caps
+//     the pool and with it the fan-out.
 //   * Backpressure: a session may have at most max_pending_batches
 //     event batches in flight. At the cap the shard stops parsing that
 //     connection and drops its read interest — bytes pile up in the
@@ -28,9 +33,11 @@
 //     limits) pushes back on the client's write() — then re-arms when
 //     the kernel thread drains the session below the cap.
 //
-// With shards=1 and kernel_offload=false everything runs on one
-// thread — the honest configuration for a 1-core host, with no
-// queueing and no context switches on the event path.
+// With shards=1 and kernel_offload=false the event loop runs the
+// kernel work inline, with no channel hop; large sessions still fan
+// each batch out to the global pool. CCMM_THREADS=1 as well makes the
+// whole event path one thread — the honest configuration for a 1-core
+// host, with no queueing and no context switches.
 #pragma once
 
 #include <atomic>

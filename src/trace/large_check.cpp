@@ -10,10 +10,6 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-/// Below this the whole check is a few milliseconds and thread spawn
-/// would dominate: run every location on the caller's thread.
-constexpr std::size_t kShardMinNodes = std::size_t{1} << 14;
-
 }  // namespace
 
 LargeCheckReport large_check(const Computation& c, const ObserverFunction& phi,
@@ -29,11 +25,12 @@ LargeCheckReport large_check(const Computation& c, const ObserverFunction& phi,
   }
   const LocDriver driver(c, options.models, options.oracle, options.simd);
   const std::vector<LocTask> tasks = driver.tasks_for(phi);
-  std::size_t max_shards = 1;
-  if (options.parallel && n >= kShardMinNodes)
-    max_shards = (options.pool != nullptr ? *options.pool : global_pool())
-                     .size();
-  driver.run(tasks, max_shards,
+  // Checks too small to shard never spin up the global pool.
+  const std::size_t pool_size =
+      !options.parallel || n < LocDriver::kShardMinNodes ? 1
+      : options.pool != nullptr ? options.pool->size()
+                                : global_pool().size();
+  driver.run(tasks, pool_size,
              options.chunk_nodes != 0 ? options.chunk_nodes
                                       : LocDriver::kChunkNodes,
              options.progress, report);

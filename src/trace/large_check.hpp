@@ -27,8 +27,9 @@
 // own locations chunk by chunk with ONE reusable scratch arena, so peak
 // memory is O(n) words per shard, never O(n²) bits, and the report
 // carries the measured bytes-per-node. The online CheckSession
-// (trace/session_kernel.hpp) runs the same driver on one shard as
-// events arrive and returns the same LargeCheckReport. Verdicts are
+// (trace/session_kernel.hpp) runs the same driver, on as many shards
+// by the same rule, as events arrive and returns the same
+// LargeCheckReport. Verdicts are
 // pinned byte-identical to the prepared checkers by
 // tests/test_large_check.cpp.
 #pragma once
@@ -108,9 +109,11 @@ struct LargeCheckReport {
   // Stage breakdown of the streaming scan (--trace in ccmm_check).
   // Shards run concurrently and each stage is the max over shards, so
   // stages can sum to more than total_millis. In a CheckSession's
-  // reports, ingest is feed()'s event validation and column fill plus
-  // stage_chunk, kernel is LocState::advance, group build includes the
-  // stream arrays, and total is the time spent inside the session.
+  // reports, ingest is feed()'s event validation (on the caller) plus
+  // the max over shards of that shard's column fill + stage_chunk,
+  // kernel is the max over shards of LocState::advance, group build
+  // includes the stream arrays, and total is the time spent inside
+  // the session; all summed over every feed so far.
   double ingest_millis = 0.0;       // trace decode + stage_chunk
   double group_build_millis = 0.0;  // grouping + CSRs + wblock map
   double kernel_millis = 0.0;       // LocState::advance over all chunks

@@ -198,19 +198,16 @@ std::vector<LocTask> LocDriver::tasks_for(const ObserverFunction& phi) const {
   return tasks;
 }
 
-void LocDriver::run(
-    std::span<const LocTask> tasks, std::size_t max_shards,
-    std::uint32_t chunk,
-    const std::function<void(std::size_t, std::size_t)>& progress,
-    LargeCheckReport& report) const {
-  const std::size_t n = c_.node_count();
-  report.locations.resize(tasks.size());
-  const std::size_t nshards =
-      std::max<std::size_t>(1, std::min(tasks.size(), max_shards));
+std::size_t LocDriver::shard_count(std::size_t ntasks,
+                                   std::size_t pool_size) const {
+  if (c_.node_count() < kShardMinNodes) return 1;
+  return std::max<std::size_t>(1, std::min(ntasks, pool_size));
+}
 
-  // Pack tasks onto the shards in longest-processing-time order. Cost
-  // model: every task pays an O(n) stage + advance pass (1 unit); a
-  // mask-only request adds one sweep per 256-block batch (with LC
+std::vector<std::vector<std::size_t>> LocDriver::pack(
+    std::span<const LocTask> tasks, std::size_t nshards) const {
+  // Cost model: every task pays an O(n) stage + advance pass (1 unit);
+  // a mask-only request adds one sweep per 256-block batch (with LC
   // requested, only LC-failing locations sweep).
   std::vector<std::size_t> cost(tasks.size());
   for (std::size_t i = 0; i < tasks.size(); ++i)
@@ -232,6 +229,19 @@ void LocDriver::run(
     shard_tasks[s].push_back(i);
     shard_load[s] += cost[i];
   }
+  return shard_tasks;
+}
+
+void LocDriver::run(
+    std::span<const LocTask> tasks, std::size_t pool_size,
+    std::uint32_t chunk,
+    const std::function<void(std::size_t, std::size_t)>& progress,
+    LargeCheckReport& report) const {
+  const std::size_t n = c_.node_count();
+  report.locations.resize(tasks.size());
+  const std::size_t nshards = shard_count(tasks.size(), pool_size);
+  const std::vector<std::vector<std::size_t>> shard_tasks =
+      pack(tasks, nshards);
 
   const NumaTopology& numa = numa_topology();
   const std::vector<std::size_t> plan = plan_shard_placement(nshards, numa);

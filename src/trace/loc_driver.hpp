@@ -8,8 +8,9 @@
 // the shared setup (LocDriver), one shard's chunk loop (LocShard), the
 // batch schedule over shards (run) and the report fold (fold).
 // large_check() is run() over the caller's Φ columns; a CheckSession
-// advances one LocShard over [consumed, watermark) as events arrive and
-// folds its reports with the same fold().
+// packs its locations onto shards by the same rule (shard_count, pack),
+// advances them over [consumed, watermark) on a thread pool as events
+// arrive, and folds its reports with the same fold().
 #pragma once
 
 #include <cstdint>
@@ -38,7 +39,7 @@ struct LocTask {
 /// the scratch it held at its last finalize (arena peak + states +
 /// staging buffer).
 struct LocShardStats {
-  double ingest_ms = 0.0;  // stage_chunk
+  double ingest_ms = 0.0;  // stage_chunk (+ a session's column fill)
   double kernel_ms = 0.0;  // LocState::advance
   double report_ms = 0.0;  // the last finalize
   std::size_t bytes = 0;
@@ -80,6 +81,9 @@ class LocDriver {
   /// that per-chunk bookkeeping is noise, small enough that a chunk of
   /// topo slots plus its pred edges stays cache-resident.
   static constexpr std::uint32_t kChunkNodes = 1u << 17;
+  /// Below this many nodes a whole check takes a few milliseconds and
+  /// fanning out would cost more than it saves: one shard.
+  static constexpr std::size_t kShardMinNodes = std::size_t{1} << 14;
 
   /// Set up for deciding `models` (clipped to kLargeCheckExt) on `c`,
   /// which must outlive the driver.
@@ -103,10 +107,21 @@ class LocDriver {
   [[nodiscard]] std::vector<LocTask> tasks_for(
       const ObserverFunction& phi) const;
 
-  /// Decide `tasks` over the whole scan order on up to `max_shards`
-  /// shards (at least one) and fold the report; report.locations[i] is
+  /// The one shard rule of the postmortem and the session: one shard
+  /// below kShardMinNodes, else one per pool worker, capped by the
+  /// task count; never fewer than one.
+  [[nodiscard]] std::size_t shard_count(std::size_t ntasks,
+                                        std::size_t pool_size) const;
+
+  /// Pack `tasks` onto `nshards` shards in longest-processing-time
+  /// order; result[s] lists the indices of shard s's tasks.
+  [[nodiscard]] std::vector<std::vector<std::size_t>> pack(
+      std::span<const LocTask> tasks, std::size_t nshards) const;
+
+  /// Decide `tasks` over the whole scan order on shard_count(tasks,
+  /// pool_size) shards and fold the report; report.locations[i] is
   /// tasks[i]'s verdict. `progress` as LargeCheckOptions::progress.
-  void run(std::span<const LocTask> tasks, std::size_t max_shards,
+  void run(std::span<const LocTask> tasks, std::size_t pool_size,
            std::uint32_t chunk,
            const std::function<void(std::size_t, std::size_t)>& progress,
            LargeCheckReport& report) const;

@@ -10,8 +10,8 @@
 // observer columns fill incrementally with exactly the
 // observer_from_trace() completion rules, and the session runs the
 // same per-location driver as large_check() (trace/loc_driver.hpp) —
-// same setup, same shard loop on one shard, same report fold — through
-// a *watermark* on the driver's scan order:
+// same setup, same shard rule and packing, same shard loop, same report
+// fold — through a *watermark* on the driver's scan order:
 //
 //   scan order  = ids when topological, else dag().topological_order()
 //                 — the SAME order large_check() scans, so verdicts,
@@ -27,6 +27,20 @@
 // What the session keeps for itself is the stream: event validation,
 // the column fill with its carried last write, splicing in never-
 // written read locations, the watermark and the retained events.
+//
+// Sharded sessions. The locations are independent units of work (LC
+// and the four dag-consistent models are per-location conditions), so
+// a session packs them onto LocDriver::shard_count() shards — one per
+// pool worker at 2^14 nodes and up, capped by the location count — and
+// each feed() runs in two steps. On the caller: validation, the
+// retained log, the never-written splices (state insertion and row
+// renumbering touch every shard) and the watermark. Then fanned out
+// with ThreadPool::fork_join: each shard fills its own written
+// locations' columns for the batch and advances its states to the
+// watermark. check()/finish() finalize the shards the same way. Below
+// 2^14 nodes, or on a one-worker pool, there is one shard and
+// everything runs inline on the caller.
+//
 // feed() performs the incremental half of trace_consistent_with (one
 // event per node, known nodes, predecessors already arrived, seq
 // monotone); a violation makes the session sticky-failed and finish()
@@ -61,6 +75,9 @@ struct SessionOptions {
   /// through a fresh session, so serving turns it off for bulk streams
   /// that never snapshot.
   bool retain_events = false;
+  /// The pool each feed fans out to (nullptr = global_pool()); its size
+  /// caps the shard count. Process-local: never on the wire.
+  ThreadPool* pool = nullptr;
 };
 
 /// The O(1) mid-stream answer: which verdict bits are already certain.
@@ -84,10 +101,12 @@ class CheckSession {
   CheckSession& operator=(const CheckSession&) = delete;
 
   /// Append `count` records (nondecreasing seq, any linear extension of
-  /// the dag). Returns false once the stream is rejected — the session
-  /// is then sticky-failed and error() says why; further feeds are
-  /// no-ops. Cost: O(count · stored-locations) column fill plus the
-  /// kernel advance over newly covered scan positions.
+  /// the dag). Returns false once the stream is rejected, or once the
+  /// kernel threw on it (say, the oracle the options force cannot be
+  /// built for this computation) — the session is then sticky-failed
+  /// and error() says why; further feeds are no-ops. Cost: O(count) validation plus O(count · stored-locations)
+  /// column fill and the kernel advance over newly covered scan
+  /// positions, the latter two split over the shards.
   bool feed(const BinaryTraceEvent* events, std::size_t count);
 
   [[nodiscard]] bool failed() const noexcept { return !error_.empty(); }
@@ -127,31 +146,41 @@ class CheckSession {
       const noexcept {
     return retained_;
   }
-  /// Session-owned heap: columns, groups, CSRs, states, arena peak.
+  /// Session-owned heap: columns, groups, CSRs, states, arena peaks.
   [[nodiscard]] std::size_t memory_bytes() const noexcept;
 
  private:
   struct Loc;  // one location's column and carried last write
+  /// One shard: its states, and the written locations whose columns it
+  /// fills (indices into cols_). Never-written locations' columns fill
+  /// on the caller, so a state may live on a shard that fills nothing.
+  struct Shard {
+    LocShard kernel;
+    std::vector<std::uint32_t> fills;
+  };
 
   void fail_stream(std::string why);
   std::vector<NodeId>& extra_column(Location l);
-  void fill_columns(const BinaryTraceEvent* events, std::size_t count);
-  void advance_kernel();
+  void fill_extra_columns(const BinaryTraceEvent* events, std::size_t count);
+  void fill_columns(Shard& sh, const BinaryTraceEvent* events,
+                    std::size_t count);
   [[nodiscard]] std::size_t stream_bytes() const noexcept;
   LargeCheckReport make_report(bool require_complete);
 
   std::unique_ptr<Computation> c_;
   SessionOptions opts_;
+  ThreadPool* pool_ = nullptr;
   std::size_t n_ = 0;
-  std::optional<LocDriver> driver_;  // setup, ctx and report fold
+  std::optional<LocDriver> driver_;  // setup, ctx, shard rule and fold
 
-  // One shard of states; cols_[k] is shard_.states[k]'s column. Every
-  // written location comes first, in location order (the batch
-  // worklist); never-written read targets are appended when their
-  // first recorded observation arrives (extras_: location -> index).
-  LocShard shard_;
+  // The states, LPT-packed onto shards_. cols_ holds every column:
+  // written locations first, in location order (the batch worklist);
+  // never-written read targets are appended when their first recorded
+  // observation arrives (extras_: location -> index), each on a shard
+  // of its own while the shard rule allows one more, else on the shard
+  // with the fewest states.
+  std::vector<Shard> shards_;
   std::vector<std::unique_ptr<Loc>> cols_;
-  std::size_t nwritten_ = 0;
   std::map<Location, std::size_t> extras_;
 
   // Event -> written-location index resolution, precomputed per node so
@@ -169,7 +198,7 @@ class CheckSession {
   std::vector<BinaryTraceEvent> retained_;
 
   double stream_setup_ms_ = 0.0;  // the per-node stream arrays
-  double ingest_ms_ = 0.0;        // validation + column fill
+  double ingest_ms_ = 0.0;  // validation + never-written column fill
   double active_ms_ = 0.0;  // total time spent inside feed()/check()
 };
 

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <exception>
+#include <memory>
 
 #include "util/check.hpp"
 
@@ -24,6 +26,47 @@ std::size_t threads_from_env() {
 /// The pool whose worker loop the current thread is running, if any.
 /// Used to catch reentrant submission (see ThreadPool::submit).
 thread_local const ThreadPool* tls_worker_of = nullptr;
+
+/// One fork_join call, shared by the caller and its helper tasks. A
+/// helper may start after the call returned, so it holds the job by
+/// shared_ptr; `f` is dereferenced only for claimed indices, and every
+/// claimed index finishes before the call returns.
+struct ForkJoinJob {
+  ForkJoinJob(std::size_t parts, const std::function<void(std::size_t)>& fn)
+      : n(parts), f(&fn), unfinished(parts) {}
+
+  /// Claim and run indices until none are left. After the first throw
+  /// the remaining indices are claimed but skipped; the exception is
+  /// kept for the caller to rethrow.
+  void run() {
+    for (;;) {
+      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+      if (i >= n) return;
+      if (!failed.load(std::memory_order_relaxed)) {
+        try {
+          (*f)(i);
+        } catch (...) {
+          const std::lock_guard lk(mu);
+          if (!error) error = std::current_exception();
+          failed.store(true, std::memory_order_relaxed);
+        }
+      }
+      if (unfinished.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+        const std::lock_guard lk(mu);
+        done.notify_one();
+      }
+    }
+  }
+
+  const std::size_t n;
+  const std::function<void(std::size_t)>* f;
+  std::atomic<std::size_t> next{0};
+  std::atomic<std::size_t> unfinished;
+  std::atomic<bool> failed{false};
+  std::mutex mu;
+  std::condition_variable done;
+  std::exception_ptr error;  // the first throw; guarded by mu
+};
 
 }  // namespace
 
@@ -52,13 +95,23 @@ void ThreadPool::submit(std::function<void()> task) {
   // deadlocks once all workers block in wait_idle: the queued tasks have
   // no thread left to run on. Fail loudly in debug builds.
   CCMM_ASSERT(tls_worker_of != this);
+  enqueue(std::move(task));
+}
+
+void ThreadPool::enqueue(std::function<void()> task) {
   {
     std::lock_guard lk(mu_);
     CCMM_CHECK(!stop_, "submit after shutdown");
     tasks_.push(std::move(task));
     ++in_flight_;
+    ++submitted_;
   }
   cv_task_.notify_one();
+}
+
+std::uint64_t ThreadPool::submitted() const {
+  std::lock_guard lk(mu_);
+  return submitted_;
 }
 
 void ThreadPool::wait_idle() {
@@ -96,6 +149,42 @@ void ThreadPool::parallel_for(std::size_t n,
     });
   }
   wait_idle();
+}
+
+void ThreadPool::fork_join(std::size_t n,
+                           const std::function<void(std::size_t)>& f) {
+  // Lend only idle width: this caller, the other fork_join callers and
+  // the helpers still queued or running share size() threads, so
+  // concurrent fan-outs (several sessions fed at once) never pile more
+  // runnable threads onto the pool than it has workers.
+  struct Release {  // this caller's share, also when f throws
+    std::atomic<std::size_t>& busy;
+    ~Release() { busy.fetch_sub(1, std::memory_order_relaxed); }
+  } const release{fork_join_busy_};
+  const std::size_t busy =
+      fork_join_busy_.fetch_add(1, std::memory_order_relaxed) + 1;
+  const std::size_t helpers =
+      n <= 1 || busy >= size() ? 0 : std::min(n - 1, size() - busy);
+  if (helpers == 0) {
+    for (std::size_t i = 0; i < n; ++i) f(i);
+    return;
+  }
+  const auto job = std::make_shared<ForkJoinJob>(n, f);
+  fork_join_busy_.fetch_add(helpers, std::memory_order_relaxed);
+  // Helpers go through enqueue, not submit: the caller never waits for
+  // a queued helper, so submitting from a worker cannot deadlock.
+  for (std::size_t h = 0; h < helpers; ++h)
+    enqueue([this, job] {
+      job->run();
+      fork_join_busy_.fetch_sub(1, std::memory_order_relaxed);
+    });
+  job->run();
+  // Every index is claimed now; wait for the ones helpers still run.
+  std::unique_lock lk(job->mu);
+  job->done.wait(lk, [&] {
+    return job->unfinished.load(std::memory_order_acquire) == 0;
+  });
+  if (job->error) std::rethrow_exception(job->error);
 }
 
 void ThreadPool::worker_loop() {

@@ -133,6 +133,22 @@ void expect_gate_matches_sweep(const Computation& c,
                          large_check(c, phi, gate));
 }
 
+/// A trace's binary records in seq order, as a session is fed them.
+std::vector<BinaryTraceEvent> records_sorted(const Trace& t) {
+  std::vector<BinaryTraceEvent> recs;
+  for (const TraceEvent& e : t.events)
+    recs.push_back(BinaryTraceEvent{
+        e.seq, e.time, e.proc, e.node,
+        e.observed == kBottom ? 0xFFFFFFFFu
+                              : static_cast<std::uint32_t>(e.observed),
+        0});
+  std::stable_sort(recs.begin(), recs.end(),
+                   [](const BinaryTraceEvent& a, const BinaryTraceEvent& b) {
+                     return a.seq < b.seq;
+                   });
+  return recs;
+}
+
 TEST(LocIncremental, PrefixMatchesBatchOnExhaustiveUniverses) {
   // Every (computation, valid observer) pair of the small universes the
   // repo's other differentials sweep, at chunk sizes that put the
@@ -333,6 +349,51 @@ TEST(LocIncrementalParallel, ProgressIsMonotoneOnTheCallerThread) {
   }
 }
 
+TEST(LocIncremental, SessionAndBatchShareTheShardRule) {
+  // One rule for both: one shard under 2^14 nodes, else one per pool
+  // worker capped by the task count. A mask-only request packs by
+  // writer count, which must not change the count either.
+  Rng rng(227);
+  for (const std::size_t ops : {3'000u, 20'000u}) {
+    proc::RandomCilkOptions opt;
+    opt.target_ops = ops;
+    opt.nlocations = 3;
+    const Computation c = proc::random_cilk(opt, rng);
+    const bool small = c.node_count() < LocDriver::kShardMinNodes;
+    const LocDriver driver(c, kLargeCheckExt, {}, std::nullopt);
+    for (const std::size_t pool_size : {1u, 2u, 4u, 8u}) {
+      const std::size_t want = small ? 1 : std::min<std::size_t>(pool_size, 3);
+      EXPECT_EQ(driver.shard_count(3, pool_size), want);
+    }
+    EXPECT_EQ(driver.shard_count(0, 4), 1u);
+
+    ScMemory mem;
+    const Trace t = run_serial(c, mem).trace;
+    const std::vector<BinaryTraceEvent> recs = records_sorted(t);
+    for (const std::size_t workers : {1u, 2u, 4u}) {
+      ThreadPool pool(workers);
+      for (const std::uint32_t models :
+           std::initializer_list<std::uint32_t>{kSuiteLC, kMaskModels}) {
+        SessionOptions sopt;
+        sopt.models = models;
+        sopt.pool = &pool;
+        CheckSession session(c, sopt);
+        ASSERT_TRUE(session.feed(recs.data(), recs.size()));
+        LargeCheckOptions lopt;
+        lopt.models = models;
+        lopt.pool = &pool;
+        const LargeCheckReport batch = large_check_trace(c, t, lopt);
+        const LargeCheckReport online = session.finish();
+        EXPECT_EQ(online.shards, batch.shards)
+            << "ops=" << ops << " workers=" << workers;
+        EXPECT_EQ(online.shards, small ? 1u : std::min<std::size_t>(
+                                                  workers, 3));
+        EXPECT_EQ(online.satisfied, batch.satisfied);
+      }
+    }
+  }
+}
+
 TEST(LocIncremental, LatticeGateMatchesSweepInSessionFinish) {
   // The online driver shares finalize_into: a session deciding all
   // five models must report the same mask bits as a mask-only one.
@@ -340,18 +401,8 @@ TEST(LocIncremental, LatticeGateMatchesSweepInSessionFinish) {
   const Computation c = workload::random_ops(gen::random_dag(400, 0.03, rng),
                                              6, 0.4, 0.4, rng);
   WeakMemory mem(5);
-  const Trace t = run_execution(c, greedy_schedule(c, 4), mem).trace;
-  std::vector<BinaryTraceEvent> recs;
-  for (const TraceEvent& e : t.events)
-    recs.push_back(BinaryTraceEvent{
-        e.seq, e.time, e.proc, e.node,
-        e.observed == kBottom ? 0xFFFFFFFFu
-                              : static_cast<std::uint32_t>(e.observed),
-        0});
-  std::stable_sort(recs.begin(), recs.end(),
-                   [](const BinaryTraceEvent& a, const BinaryTraceEvent& b) {
-                     return a.seq < b.seq;
-                   });
+  const std::vector<BinaryTraceEvent> recs =
+      records_sorted(run_execution(c, greedy_schedule(c, 4), mem).trace);
   const auto finish = [&](std::uint32_t models) {
     SessionOptions sopt;
     sopt.models = models;

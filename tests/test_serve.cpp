@@ -10,7 +10,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
+#include <cstdlib>
+#include <map>
 #include <memory>
 #include <thread>
 
@@ -25,8 +28,11 @@
 #include "exec/weak_memory.hpp"
 #include "exec/workload.hpp"
 #include "dag/generators.hpp"
+#include "io/text.hpp"
 #include "proc/random_program.hpp"
+#include "serve/protocol.hpp"
 #include "trace/large_check.hpp"
+#include "trace/loc_driver.hpp"
 #include "util/rng.hpp"
 
 namespace ccmm {
@@ -119,12 +125,14 @@ Trace trace_from_records(const Computation& c,
 
 /// Stream `recs` through a CheckSession in `chunk`-sized feeds and
 /// demand the finish() report match the batch postmortem byte for
-/// byte. Returns the session's report.
+/// byte. With a `pool`, both run sharded on it; without one, the batch
+/// runs serially. Returns the session's report.
 LargeCheckReport expect_session_matches_batch(
     const Computation& c, const std::vector<BinaryTraceEvent>& recs,
-    std::uint32_t models, std::size_t chunk) {
+    std::uint32_t models, std::size_t chunk, ThreadPool* pool = nullptr) {
   SessionOptions sopt;
   sopt.models = models;
+  sopt.pool = pool;
   CheckSession session(c, sopt);
   for (std::size_t at = 0; at < recs.size(); at += chunk) {
     const std::size_t k = std::min(chunk, recs.size() - at);
@@ -134,12 +142,14 @@ LargeCheckReport expect_session_matches_batch(
 
   LargeCheckOptions bopt;
   bopt.models = models;
-  bopt.parallel = false;
+  bopt.pool = pool;
+  bopt.parallel = pool != nullptr;
   const LargeCheckReport want =
       large_check_trace(c, trace_from_records(c, recs), bopt);
   expect_reports_identical(
       got, want,
-      "chunk=" + std::to_string(chunk) + " models=" + std::to_string(models));
+      "chunk=" + std::to_string(chunk) + " models=" + std::to_string(models) +
+          (pool != nullptr ? " pool=" + std::to_string(pool->size()) : ""));
 
   // finish() is idempotent: the verdict is a pure function of the
   // consumed stream.
@@ -437,6 +447,365 @@ TEST(CheckSession, RetainedEventReplayReproducesVerdicts) {
 }
 
 // ---------------------------------------------------------------------------
+// Sharded sessions: from LocDriver::kShardMinNodes up, a session packs
+// its locations onto one shard per pool worker, as the batch engine
+// does. Every case runs on explicit pools of 1, 2 and 4 threads against
+// the batch report on the same pool, so `shards` is compared too.
+
+/// Three pools, so each case runs on one, two and four shards.
+struct ShardPools {
+  ThreadPool one{1};
+  ThreadPool two{2};
+  ThreadPool four{4};
+  [[nodiscard]] std::array<ThreadPool*, 3> all() {
+    return {&one, &two, &four};
+  }
+};
+
+/// A random Cilk computation past the sharding threshold.
+Computation sharded_computation(std::uint64_t seed, std::size_t nlocations) {
+  Rng rng(seed);
+  proc::RandomCilkOptions opt;
+  opt.target_ops = 20'000;
+  opt.nlocations = nlocations;
+  Computation c = proc::random_cilk(opt, rng);
+  EXPECT_GE(c.node_count(), LocDriver::kShardMinNodes);
+  return c;
+}
+
+TEST(CheckSessionSharded, SerialScStreamMatchesBatch) {
+  ShardPools pools;
+  const Computation c = sharded_computation(311, 8);
+  ScMemory mem;
+  const std::vector<BinaryTraceEvent> recs =
+      records_of(run_serial(c, mem).trace);
+  for (ThreadPool* pool : pools.all())
+    for (const std::uint32_t models :
+         std::initializer_list<std::uint32_t>{kSuiteLC, kLargeCheckExt}) {
+      const LargeCheckReport got =
+          expect_session_matches_batch(c, recs, models, 4096, pool);
+      EXPECT_EQ(got.shards, std::min(pool->size(), got.locations.size()));
+    }
+  // Odd batch sizes cut chunks and fills at other points.
+  expect_session_matches_batch(c, recs, kLargeCheckExt, 1000, &pools.four);
+}
+
+TEST(CheckSessionSharded, CorruptedStreamsMatchBatch) {
+  ShardPools pools;
+  const Computation c = sharded_computation(313, 6);
+  Rng rng(317);
+  ScMemory mem;
+  const std::vector<BinaryTraceEvent> base =
+      records_of(run_serial(c, mem).trace);
+  for (int round = 0; round < 3; ++round) {
+    std::vector<BinaryTraceEvent> recs = base;
+    corrupt_records(c, recs, rng, 3 + 2 * round);
+    renumber(recs);
+    for (ThreadPool* pool : pools.all())
+      expect_session_matches_batch(c, recs, kLargeCheckExt, 4096, pool);
+  }
+}
+
+TEST(CheckSessionSharded, InterleavedScheduleStreamMatchesBatch) {
+  // A four-processor schedule: arrival runs ahead of the scan order, so
+  // the watermark waits for holes while the shards advance.
+  ShardPools pools;
+  const Computation c = sharded_computation(331, 6);
+  WeakMemory mem(5);
+  const std::vector<BinaryTraceEvent> recs =
+      records_of(run_execution(c, greedy_schedule(c, 4), mem).trace);
+  {
+    SessionOptions sopt;
+    sopt.pool = &pools.four;
+    CheckSession s(c, sopt);
+    bool waited = false;
+    for (std::size_t at = 0; at < recs.size(); at += 4096) {
+      ASSERT_TRUE(s.feed(recs.data() + at,
+                         std::min<std::size_t>(4096, recs.size() - at)));
+      waited = waited || s.consumed() < s.events_seen();
+    }
+    EXPECT_TRUE(waited) << "the schedule never ran ahead of the scan order";
+  }
+  for (ThreadPool* pool : pools.all())
+    expect_session_matches_batch(c, recs, kLargeCheckExt, 4096, pool);
+}
+
+/// The SC execution of `c` in id order (topological for a Cilk
+/// computation): every read observes the last earlier write of its
+/// location, so no observation points forward in the scan order and no
+/// check has to build the precedence oracle.
+std::vector<BinaryTraceEvent> id_order_records(const Computation& c) {
+  std::map<Location, NodeId> last;
+  std::vector<BinaryTraceEvent> recs(c.node_count());
+  for (NodeId u = 0; u < c.node_count(); ++u) {
+    const Op o = c.op(u);
+    std::uint32_t observed = 0xFFFFFFFFu;
+    if (o.is_write()) {
+      last[o.loc] = u;
+      observed = u;
+    } else if (o.is_read() && last.count(o.loc) != 0) {
+      observed = last[o.loc];
+    }
+    recs[u] = BinaryTraceEvent{u, u, 0, u, observed, 0};
+  }
+  return recs;
+}
+
+TEST(CheckSessionSharded, NeverWrittenLocationSplicesOntoAnotherShard) {
+  // Three written locations, moved up to free Location 0; the first
+  // read past the middle of the stream is retargeted to Location 0 with
+  // a recorded observation. Its state is spliced mid-stream ahead of
+  // every written row: on four workers it opens a fourth shard, on two
+  // it joins the shard holding one location (shard 1), and every row on
+  // the other shards moves down.
+  ShardPools pools;
+  Computation c = sharded_computation(337, 3);
+  const NodeId n = static_cast<NodeId>(c.node_count());
+  std::vector<Op> ops;
+  ops.reserve(n);
+  for (NodeId u = 0; u < n; ++u) {
+    Op o = c.op(u);
+    if (!o.is_nop()) ++o.loc;
+    ops.push_back(o);
+  }
+  NodeId reader = kBottom;
+  for (NodeId u = n / 2; u < n && reader == kBottom; ++u)
+    if (ops[u].is_read()) reader = u;
+  ASSERT_NE(reader, kBottom);
+  ops[reader] = Op::read(Location{0});
+  // Relabelling keeps the dag, so its SP parse (and the cheap sp-order
+  // oracle) still holds.
+  const SpStructurePtr sp = c.sp_structure();
+  c.set_ops(ops);
+  c.set_sp_structure(sp);
+  std::vector<BinaryTraceEvent> recs = id_order_records(c);
+  recs[reader].observed = 0;  // any node: must fail 2.1
+  for (ThreadPool* pool : pools.all()) {
+    const LargeCheckReport got =
+        expect_session_matches_batch(c, recs, kLargeCheckExt, 4096, pool);
+    ASSERT_EQ(got.locations.size(), 4u);
+    EXPECT_EQ(got.locations.front().loc, Location{0});
+    EXPECT_EQ(got.shards, std::min<std::size_t>(pool->size(), 4));
+  }
+}
+
+TEST(CheckSessionSharded, RejectedBatchRollsBackAndReportsTheBatchError) {
+  ShardPools pools;
+  const Computation c = sharded_computation(347, 8);
+  ScMemory mem;
+  std::vector<BinaryTraceEvent> recs = records_of(run_serial(c, mem).trace);
+  renumber(recs);
+  const std::size_t half = recs.size() / 2;
+  // The stream repeats an already-arrived node in the middle of the
+  // batch after `half`; the batch engine sees the whole stream.
+  std::vector<BinaryTraceEvent> sent = recs;
+  sent[half + 2048].node = recs[half - 1].node;
+  const std::vector<BinaryTraceEvent> bad(sent.begin() + half,
+                                          sent.begin() + half + 4096);
+  for (ThreadPool* pool : pools.all()) {
+    SessionOptions sopt;
+    sopt.models = kLargeCheckExt;
+    sopt.pool = pool;
+    CheckSession s(c, sopt);
+    ASSERT_TRUE(s.feed(recs.data(), half));
+    const SessionVerdict before = s.fast_verdict();
+    EXPECT_FALSE(s.feed(bad.data(), bad.size()));
+    EXPECT_NE(s.error().find("more than one event"), std::string::npos)
+        << s.error();
+    EXPECT_EQ(s.events_seen(), half);
+    EXPECT_EQ(s.consumed(), before.consumed);
+    EXPECT_FALSE(s.feed(recs.data() + half, 1));  // sticky
+    LargeCheckOptions bopt;
+    bopt.models = kLargeCheckExt;
+    bopt.pool = pool;
+    expect_reports_identical(
+        s.finish(), large_check_trace(c, trace_from_records(c, sent), bopt),
+        "rejected batch pool=" + std::to_string(pool->size()));
+  }
+}
+
+TEST(CheckSessionSharded, SnapshotRestoreMatchesBatch) {
+  ShardPools pools;
+  const Computation c = sharded_computation(349, 8);
+  Rng rng(353);
+  ScMemory mem;
+  std::vector<BinaryTraceEvent> recs = records_of(run_serial(c, mem).trace);
+  corrupt_records(c, recs, rng, 5);
+  renumber(recs);
+  const std::size_t third = recs.size() / 3;
+  for (ThreadPool* pool : pools.all()) {
+    SessionOptions sopt;
+    sopt.models = kLargeCheckExt;
+    sopt.retain_events = true;
+    sopt.pool = pool;
+    CheckSession a(c, sopt);
+    for (std::size_t at = 0; at < third; at += 4096)
+      ASSERT_TRUE(a.feed(recs.data() + at, std::min<std::size_t>(
+                                               4096, third - at)));
+    const std::string blob = serve::encode_snapshot(a);
+    serve::SnapshotImage img = serve::decode_snapshot(
+        reinterpret_cast<const unsigned char*>(blob.data()), blob.size());
+    img.options.pool = pool;  // process-local: not part of the image
+    CheckSession b(io::read_computation(img.computation_text), img.options);
+    ASSERT_TRUE(b.feed(img.events.data(), img.events.size()));
+    for (CheckSession* s : {&a, &b})
+      ASSERT_TRUE(s->feed(recs.data() + third, recs.size() - third));
+    LargeCheckOptions bopt;
+    bopt.models = kLargeCheckExt;
+    bopt.pool = pool;
+    const LargeCheckReport want =
+        large_check_trace(c, trace_from_records(c, recs), bopt);
+    const std::string ctx = " pool=" + std::to_string(pool->size());
+    expect_reports_identical(b.finish(), want, "restored" + ctx);
+    expect_reports_identical(a.finish(), want, "snapshot source" + ctx);
+  }
+}
+
+TEST(CheckSessionSharded, OneShardRunsInlineAndSubmitsNothing) {
+  // The session alone submits nothing; the batch run on the same pool
+  // afterwards (its observer fill is a parallel_for) may.
+  const auto expect_inline = [](const Computation& c, ThreadPool& pool) {
+    ScMemory mem;
+    const std::vector<BinaryTraceEvent> recs =
+        records_of(run_serial(c, mem).trace);
+    SessionOptions sopt;
+    sopt.models = kLargeCheckExt;
+    sopt.pool = &pool;
+    CheckSession s(c, sopt);
+    for (std::size_t at = 0; at < recs.size(); at += 4096)
+      ASSERT_TRUE(s.feed(recs.data() + at,
+                         std::min<std::size_t>(4096, recs.size() - at)));
+    const LargeCheckReport got = s.finish();
+    EXPECT_EQ(got.shards, 1u);
+    EXPECT_EQ(pool.submitted(), 0u);
+    LargeCheckOptions bopt;
+    bopt.models = kLargeCheckExt;
+    bopt.pool = &pool;
+    expect_reports_identical(
+        got, large_check_trace(c, trace_from_records(c, recs), bopt),
+        "one shard pool=" + std::to_string(pool.size()));
+  };
+  {  // Below the sharding threshold, on a four-worker pool.
+    ThreadPool pool(4);
+    Rng rng(359);
+    proc::RandomCilkOptions opt;
+    opt.target_ops = 3000;
+    opt.nlocations = 8;
+    const Computation c = proc::random_cilk(opt, rng);
+    ASSERT_LT(c.node_count(), LocDriver::kShardMinNodes);
+    expect_inline(c, pool);
+  }
+  {  // CCMM_THREADS=1: a one-worker pool, past the threshold.
+    const char* prev = std::getenv("CCMM_THREADS");
+    const std::string saved = prev != nullptr ? prev : "";
+    ::setenv("CCMM_THREADS", "1", 1);
+    ThreadPool pool;  // sized from the environment
+    if (prev != nullptr)
+      ::setenv("CCMM_THREADS", saved.c_str(), 1);
+    else
+      ::unsetenv("CCMM_THREADS");
+    ASSERT_EQ(pool.size(), 1u);
+    expect_inline(sharded_computation(367, 8), pool);
+  }
+}
+
+/// id_order_records(c) with one read retargeted to observe the last
+/// write of its location, later in the scan order: condition 2.2 must
+/// consult the precedence oracle for it.
+std::vector<BinaryTraceEvent> forward_observation_records(
+    const Computation& c) {
+  std::map<Location, NodeId> last_write;
+  for (NodeId u = 0; u < c.node_count(); ++u)
+    if (c.op(u).is_write()) last_write[c.op(u).loc] = u;
+  std::vector<BinaryTraceEvent> recs = id_order_records(c);
+  for (NodeId u = 0; u < c.node_count(); ++u) {
+    const Op o = c.op(u);
+    const auto it = last_write.find(o.loc);
+    if (o.is_read() && it != last_write.end() && it->second > u) {
+      recs[u].observed = it->second;
+      return recs;
+    }
+  }
+  ADD_FAILURE() << "no read precedes a write of its location";
+  return recs;
+}
+
+TEST(CheckSessionSharded, KernelFailureKillsTheSessionNotTheCaller) {
+  // Forcing the SP-order oracle on a computation with no SP parse
+  // throws the first time condition 2.2 needs the oracle, on whichever
+  // shard and thread holds that location: feed() reports it, and the
+  // session is dead rather than half-advanced.
+  ShardPools pools;
+  Computation c = sharded_computation(383, 8);
+  c.set_sp_structure(nullptr);
+  const std::vector<BinaryTraceEvent> recs = forward_observation_records(c);
+  for (ThreadPool* pool : pools.all()) {
+    SessionOptions sopt;
+    sopt.models = kLargeCheckExt;
+    sopt.oracle.choice = OracleChoice::kSpOrder;
+    sopt.pool = pool;
+    CheckSession s(c, sopt);
+    bool fed = true;
+    for (std::size_t at = 0; fed && at < recs.size(); at += 4096)
+      fed = s.feed(recs.data() + at,
+                   std::min<std::size_t>(4096, recs.size() - at));
+    EXPECT_FALSE(fed) << "pool=" << pool->size();
+    EXPECT_NE(s.error().find("SP-order oracle requires an SP parse"),
+              std::string::npos)
+        << s.error();
+    EXPECT_FALSE(s.fast_verdict().valid);
+    EXPECT_FALSE(s.feed(recs.data(), 1));  // sticky
+    const LargeCheckReport r = s.finish();
+    EXPECT_FALSE(r.valid_observer);
+    EXPECT_NE(r.detail.find("SP-order oracle"), std::string::npos)
+        << r.detail;
+  }
+}
+
+TEST(CheckSessionParallel, FourSessionsFedConcurrentlyOnOnePool) {
+  // The TSan case: four sharded sessions, each fed from its own thread,
+  // fan out to one shared pool at once.
+  ThreadPool pool(4);
+  const Computation c = sharded_computation(373, 8);
+  Rng rng(379);
+  ScMemory mem;
+  const std::vector<BinaryTraceEvent> base =
+      records_of(run_serial(c, mem).trace);
+  std::vector<std::vector<BinaryTraceEvent>> streams(4, base);
+  std::vector<LargeCheckReport> want;
+  for (std::size_t k = 0; k < streams.size(); ++k) {
+    corrupt_records(c, streams[k], rng, static_cast<int>(2 * k));
+    renumber(streams[k]);
+    LargeCheckOptions bopt;
+    bopt.models = kLargeCheckExt;
+    bopt.pool = &pool;
+    want.push_back(
+        large_check_trace(c, trace_from_records(c, streams[k]), bopt));
+  }
+  std::vector<LargeCheckReport> got(streams.size());
+  std::vector<std::thread> feeders;
+  for (std::size_t k = 0; k < streams.size(); ++k)
+    feeders.emplace_back([&, k] {
+      SessionOptions sopt;
+      sopt.models = kLargeCheckExt;
+      sopt.pool = &pool;
+      CheckSession s(c, sopt);
+      const std::vector<BinaryTraceEvent>& recs = streams[k];
+      for (std::size_t at = 0; at < recs.size(); at += 2048) {
+        if (!s.feed(recs.data() + at,
+                    std::min<std::size_t>(2048, recs.size() - at)))
+          break;
+        (void)s.fast_verdict();
+      }
+      got[k] = s.finish();
+    });
+  for (std::thread& t : feeders) t.join();
+  for (std::size_t k = 0; k < streams.size(); ++k)
+    expect_reports_identical(got[k], want[k],
+                             "concurrent session " + std::to_string(k));
+}
+
+// ---------------------------------------------------------------------------
 // The daemon: protocol framing, concurrent clients, reconnects,
 // snapshot/restore, backpressure, /status. POSIX sockets only.
 
@@ -682,6 +1051,46 @@ TEST(Serve, MalformedOpenTextIsAnErrorReplyNotACrash) {
   // The session opened before keeps serving, and new ones still open.
   live.feed(w.recs.data() + half, w.recs.size() - half);
   expect_reports_identical(live.finish(), w.batch, "after malformed opens");
+  serve::ServeClient fresh(ts.addr());
+  fresh.open(w.c);
+  fresh.feed(w.recs);
+  expect_reports_identical(fresh.finish(), w.batch, "fresh session");
+}
+
+TEST(Serve, KernelFailureIsAnErrorReplyNotACrash) {
+  // A computation with no SP parse (a random dag, not a Cilk program),
+  // opened with the SP-order oracle forced: the kernel throws once 2.2
+  // needs the oracle. That used to escape the kernel thread and abort
+  // the daemon; now the batch is rejected and everything else keeps
+  // going.
+  Rng rng(389);
+  const Computation c = workload::random_ops(gen::random_dag(300, 0.03, rng),
+                                             4, 0.4, 0.4, rng);
+  ASSERT_EQ(c.sp_structure(), nullptr);
+  const Workload w = make_workload(79, 600, kSuiteLC, 2);
+  TestServer ts;
+  serve::ServeClient live(ts.addr());
+  live.open(w.c);
+  const std::size_t half = w.recs.size() / 2;
+  live.feed(w.recs.data(), half);
+  live.flush();
+  serve::ClientOptions copt;
+  copt.session.oracle.choice = OracleChoice::kSpOrder;
+  serve::ServeClient forced(ts.addr(), copt);
+  forced.open(c);
+  forced.feed(forward_observation_records(c));
+  try {
+    (void)forced.verdict();
+    FAIL() << "a batch the kernel threw on must be rejected";
+  } catch (const serve::ServeError& e) {
+    EXPECT_TRUE(e.stream_rejected());
+    EXPECT_NE(std::string(e.what()).find("SP-order oracle"),
+              std::string::npos)
+        << e.what();
+  }
+  // The session opened before keeps serving, and new ones still open.
+  live.feed(w.recs.data() + half, w.recs.size() - half);
+  expect_reports_identical(live.finish(), w.batch, "after a kernel failure");
   serve::ServeClient fresh(ts.addr());
   fresh.open(w.c);
   fresh.feed(w.recs);

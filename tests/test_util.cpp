@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <condition_variable>
+#include <mutex>
 #include <set>
+#include <stdexcept>
+#include <thread>
+#include <vector>
 
 #include "util/memo_cache.hpp"
 #include "util/rng.hpp"
@@ -115,6 +120,134 @@ TEST(ThreadPool, ParallelForCoversRange) {
 TEST(ThreadPool, ParallelForEmptyRange) {
   ThreadPool pool(2);
   pool.parallel_for(0, [](std::size_t) { FAIL(); });
+}
+
+TEST(ThreadPool, ForkJoinSmallCountsRunInline) {
+  ThreadPool pool(2);
+  const std::thread::id caller = std::this_thread::get_id();
+  int runs = 0;
+  pool.fork_join(0, [&](std::size_t) { ++runs; });
+  pool.fork_join(1, [&](std::size_t i) {
+    EXPECT_EQ(i, 0u);
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    ++runs;
+  });
+  EXPECT_EQ(runs, 1);
+  EXPECT_EQ(pool.submitted(), 0u);
+}
+
+TEST(ThreadPool, ForkJoinMorePartsThanWorkers) {
+  ThreadPool pool(2);
+  std::vector<std::atomic<int>> hits(100);
+  pool.fork_join(hits.size(), [&](std::size_t i) { hits[i].fetch_add(1); });
+  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
+  // Helpers are capped by the pool's width (the caller takes one
+  // worker's share), not by the part count.
+  EXPECT_EQ(pool.submitted(), 1u);
+}
+
+TEST(ThreadPool, ForkJoinOnOneWorkerPool) {
+  // The caller alone fills a one-worker pool's width: all inline.
+  ThreadPool pool(1);
+  const std::thread::id caller = std::this_thread::get_id();
+  for (int round = 0; round < 50; ++round) {
+    std::vector<int> hits(4, 0);
+    pool.fork_join(hits.size(), [&](std::size_t i) {
+      EXPECT_EQ(std::this_thread::get_id(), caller);
+      ++hits[i];
+    });
+    for (const int h : hits) EXPECT_EQ(h, 1);
+  }
+  EXPECT_EQ(pool.submitted(), 0u);
+}
+
+TEST(ThreadPool, ForkJoinFromConcurrentCallers) {
+  // Four threads share one pool; each waits only for its own parts.
+  ThreadPool pool(4);
+  constexpr std::size_t kParts = 16;
+  constexpr int kRounds = 100;
+  std::vector<std::vector<int>> hits(4, std::vector<int>(kParts, 0));
+  std::vector<std::thread> callers;
+  for (std::size_t t = 0; t < hits.size(); ++t)
+    callers.emplace_back([&, t] {
+      for (int r = 0; r < kRounds; ++r)
+        pool.fork_join(kParts, [&](std::size_t i) { ++hits[t][i]; });
+    });
+  for (std::thread& th : callers) th.join();
+  for (const std::vector<int>& h : hits)
+    for (const int x : h) EXPECT_EQ(x, kRounds);
+}
+
+TEST(ThreadPool, ForkJoinFromInsideAWorkerDoesNotDeadlock) {
+  // Every worker of the pool calls fork_join at once: no worker is left
+  // to run a queued helper, so each caller must finish its own parts.
+  for (const std::size_t workers : {1u, 3u}) {
+    ThreadPool pool(workers);
+    std::atomic<int> total{0};
+    for (std::size_t w = 0; w < workers; ++w)
+      pool.submit([&] {
+        pool.fork_join(8, [&](std::size_t) { total.fetch_add(1); });
+      });
+    pool.wait_idle();
+    EXPECT_EQ(total.load(), static_cast<int>(8 * workers));
+  }
+}
+
+TEST(ThreadPool, ForkJoinHelperStartingAfterReturnFindsNothing) {
+  // Both workers are parked on plain tasks, so the one helper fork_join
+  // queues cannot start until the call has returned; it must then find
+  // nothing to claim and must not touch the caller's (dead) frame.
+  ThreadPool pool(2);
+  std::mutex mu;
+  std::condition_variable cv;
+  bool release = false;
+  std::atomic<int> parked{0};
+  for (int w = 0; w < 2; ++w)
+    pool.submit([&] {
+      parked.fetch_add(1);
+      std::unique_lock lk(mu);
+      cv.wait(lk, [&] { return release; });
+    });
+  while (parked.load() < 2) std::this_thread::yield();
+  {
+    std::vector<int> hits(3, 0);
+    pool.fork_join(hits.size(), [&](std::size_t i) { ++hits[i]; });
+    for (const int h : hits) EXPECT_EQ(h, 1);
+  }
+  EXPECT_EQ(pool.submitted(), 3u);  // the parked tasks and one helper
+  {
+    const std::lock_guard lk(mu);
+    release = true;
+  }
+  cv.notify_all();
+  pool.wait_idle();
+}
+
+TEST(ThreadPool, ForkJoinRethrowsOnTheCallerAndGivesBackItsWidth) {
+  ThreadPool pool(4);
+  for (const std::size_t bad : {0u, 5u}) {
+    std::atomic<int> ran{0};
+    EXPECT_THROW(pool.fork_join(8,
+                                [&](std::size_t i) {
+                                  if (i == bad)
+                                    throw std::runtime_error("part failed");
+                                  ran.fetch_add(1);
+                                }),
+                 std::runtime_error);
+    EXPECT_LE(ran.load(), 7);
+  }
+  // The inline path (one part) throws straight through.
+  EXPECT_THROW(pool.fork_join(
+                   1, [](std::size_t) { throw std::runtime_error("inline"); }),
+               std::runtime_error);
+  // Once the helpers drained, a fan-out gets the whole width again: no
+  // throwing call kept its share of the pool.
+  pool.wait_idle();
+  const std::uint64_t before = pool.submitted();
+  std::vector<std::atomic<int>> hits(8);
+  pool.fork_join(hits.size(), [&](std::size_t i) { hits[i].fetch_add(1); });
+  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
+  EXPECT_EQ(pool.submitted() - before, 3u);
 }
 
 TEST(ShardedMemoCache, LookupInsertAndStats) {

@@ -5,7 +5,7 @@
 //
 //   $ ./ccmm_serve --listen unix:/tmp/ccmm.sock
 //   $ ./ccmm_serve --listen tcp:127.0.0.1:7421 --shards 4
-//   $ ./ccmm_serve --listen unix:/tmp/ccmm.sock --inline-kernel   # 1-core
+//   $ CCMM_THREADS=1 ./ccmm_serve --listen unix:/tmp/ccmm.sock --inline-kernel
 //   $ curl --unix-socket /tmp/ccmm.sock http://localhost/status
 //
 // SIGINT/SIGTERM shut down cleanly and print the final status page.
@@ -35,7 +35,9 @@ int usage() {
       "  ADDR: unix:/path/to.sock | tcp:host:port "
       "(default unix:/tmp/ccmm_serve.sock)\n"
       "  --shards 0 allocates one shard per NUMA node\n"
-      "  --inline-kernel runs sessions on the event loop (1-core hosts)\n");
+      "  --inline-kernel runs sessions on the event loop (1-core hosts)\n"
+      "  CCMM_THREADS caps the pool each large session's batches fan out "
+      "to\n");
   return 2;
 }
 
